@@ -8,8 +8,12 @@
    Each backend keeps its binary search monomorphic and loop-local — the
    search is the hot query operation and must not pay a functor-indirection
    per probe step (this toolchain has no flambda, so calls through the
-   functor argument are real calls; one call per [lower_bound] amortises,
-   one per step would not). *)
+   functor argument are real calls). One call per [lower_bound] amortises
+   over a full-run search, but not over the cascaded windows of a
+   descent, which hold fewer than [sample] elements and often just 0–2:
+   there the call (and the cursor [get] before it) is most of the cost.
+   The template therefore reads a sample-point position straight from the
+   cursor state without searching at all. *)
 
 module Bs = Holistic_util.Binary_search
 

@@ -17,6 +17,12 @@
 
 module Task_pool = Holistic_parallel.Task_pool
 
+(* Int-typed [min]/[max]. [Stdlib]'s are polymorphic: without flambda every
+   use is a call to the generic compare, several per child on the probe
+   path. *)
+let min (a : int) b = if a < b then a else b
+let max (a : int) b = if a > b then a else b
+
 module Make (S : Mst_storage.S) = struct
   type t = {
     n : int;
@@ -695,71 +701,63 @@ module Make (S : Mst_storage.S) = struct
   (* Cascaded child positions                                            *)
   (* ------------------------------------------------------------------ *)
 
-  (* Position of [less_than] inside child [c] of the node at level [j]
-     spanning [run_base, run_base + run_len), given [pos], the position of
-     [less_than] in the node's own sorted run. The sampled cursor state at
-     s = ⌊pos/k⌋·k bounds the answer to a window of at most [pos - s < k]
-     elements (§4.2). *)
-  let child_position t j run_base pos less_than c ~child_base ~child_len =
-    let below = t.levels.(j - 1) in
+  (* Every query descends the same way: a probe value's position [pos] in
+     the sorted run of a node at level [j] fixes its position in each child
+     run at level [j - 1]. The sampled cursor state at s = ⌊pos/k⌋·k bounds
+     the answer to a window of [pos - s < k] elements (§4.2). The state's
+     slot and that slack depend only on the node and [pos], so the
+     descents compute them once per node and pass them, with the node's
+     level arrays, to [child_pos] as plain ints: the per-child work is
+     integer arithmetic plus at most one cursor read and one search. *)
+
+  let cursor_slot t j run_base pos =
+    if t.sample = 0 then 0
+    else ((run_base / t.stride.(j) * t.spr.(j - 1)) + (pos / t.sample)) * t.fanout
+
+  let slack_of t pos = if t.sample = 0 then 0 else pos mod t.sample
+
+  (* Position of [v] inside child [c], the run [child_base, child_base +
+     child_len) of level [below] whose sampled states are [cur]. Without
+     cascading the whole child run is searched. A sample point (slack 0)
+     is read straight from the cursor state. *)
+  let child_pos t below cur slot slack v c child_base child_len =
     if t.sample = 0 then
-      S.lower_bound below ~lo:child_base ~hi:(child_base + child_len) less_than - child_base
+      S.lower_bound below ~lo:child_base ~hi:(child_base + child_len) v - child_base
     else begin
-      let k = t.sample in
-      let s = pos / k * k in
-      let run_idx = run_base / t.stride.(j) in
-      let sbase = ((run_idx * t.spr.(j - 1)) + (s / k)) * t.fanout in
-      let off = S.get t.cursors.(j - 1) (sbase + c) in
-      let whi = min (off + (pos - s)) child_len in
-      S.lower_bound below ~lo:(child_base + off) ~hi:(child_base + whi) less_than - child_base
+      let off = S.get cur (slot + c) in
+      if slack = 0 then off
+      else
+        let whi = min (off + slack) child_len in
+        S.lower_bound below ~lo:(child_base + off) ~hi:(child_base + whi) v - child_base
     end
 
   (* ------------------------------------------------------------------ *)
   (* Counting                                                            *)
   (* ------------------------------------------------------------------ *)
 
+  (* Count of positions in [lo, hi) inside the node at level [j] spanning
+     [run_base, run_base + run_len) whose value is below [less_than]; [pos]
+     is [less_than]'s position in the node's run. Invariant: [lo, hi)
+     intersects but does not contain the node. *)
   let rec descend_count t j run_base run_len pos lo hi less_than =
-    (* invariant: [lo,hi) intersects but does not contain
-       [run_base, run_base+run_len) *)
     let lc = t.stride.(j - 1) in
     let nc = ((run_len - 1) / lc) + 1 in
-    (* hoisted per-node cascade state (the per-child lookup only varies in
-       the cursor slot and search window) *)
-    let below = t.levels.(j - 1) in
-    let cursors = t.cursors in
-    let sbase, slack =
-      if t.sample = 0 then (0, 0)
-      else begin
-        let k = t.sample in
-        let s = pos / k * k in
-        let run_idx = run_base / t.stride.(j) in
-        (((run_idx * t.spr.(j - 1)) + (s / k)) * t.fanout, pos - s)
-      end
-    in
-    let cpos c ~child_base ~child_len =
-      if t.sample = 0 then
-        S.lower_bound below ~lo:child_base ~hi:(child_base + child_len) less_than - child_base
-      else begin
-        let off = S.get cursors.(j - 1) (sbase + c) in
-        let whi = min (off + slack) child_len in
-        S.lower_bound below ~lo:(child_base + off) ~hi:(child_base + whi) less_than - child_base
-      end
-    in
+    let below = t.levels.(j - 1) and cur = t.cursors.(j - 1) in
+    let slot = cursor_slot t j run_base pos and slack = slack_of t pos in
     let c_first = if lo <= run_base then 0 else (lo - run_base) / lc in
     let c_last = if hi >= run_base + run_len then nc - 1 else (hi - 1 - run_base) / lc in
     let inside = c_last - c_first + 1 in
-    (* contribution of child [c], whether covered or partial *)
-    let contrib cp ~child_base ~child_len =
-      if lo <= child_base && child_base + child_len <= hi then cp
-      else descend_count t (j - 1) child_base child_len cp lo hi less_than
-    in
     if 2 * inside <= nc + 2 then begin
       (* few children intersect: sum them directly *)
       let acc = ref 0 in
       for c = c_first to c_last do
         let child_base = run_base + (c * lc) in
         let child_len = min lc (run_len - (c * lc)) in
-        acc := !acc + contrib (cpos c ~child_base ~child_len) ~child_base ~child_len
+        let cp = child_pos t below cur slot slack less_than c child_base child_len in
+        acc :=
+          !acc
+          + if lo <= child_base && child_base + child_len <= hi then cp
+            else descend_count t (j - 1) child_base child_len cp lo hi less_than
       done;
       !acc
     end
@@ -768,26 +766,30 @@ module Make (S : Mst_storage.S) = struct
          subtract the children outside the range (the cheaper complement) *)
       let acc = ref pos in
       for c = 0 to c_first - 1 do
-        let child_base = run_base + (c * lc) in
-        let child_len = min lc (run_len - (c * lc)) in
-        acc := !acc - cpos c ~child_base ~child_len
+        acc := !acc - child_pos t below cur slot slack less_than c (run_base + (c * lc)) lc
       done;
       for c = c_last + 1 to nc - 1 do
         let child_base = run_base + (c * lc) in
         let child_len = min lc (run_len - (c * lc)) in
-        acc := !acc - cpos c ~child_base ~child_len
+        acc := !acc - child_pos t below cur slot slack less_than c child_base child_len
       done;
-      let fix c =
-        let child_base = run_base + (c * lc) in
-        let child_len = min lc (run_len - (c * lc)) in
-        if not (lo <= child_base && child_base + child_len <= hi) then begin
-          let cp = cpos c ~child_base ~child_len in
-          acc := !acc - cp + descend_count t (j - 1) child_base child_len cp lo hi less_than
-        end
-      in
-      fix c_first;
-      if c_last <> c_first then fix c_last;
+      (* the boundary children may be partial *)
+      acc := !acc + boundary_fix t j run_base run_len lo hi less_than below cur slot slack c_first;
+      if c_last <> c_first then
+        acc := !acc + boundary_fix t j run_base run_len lo hi less_than below cur slot slack c_last;
       !acc
+    end
+
+  (* In-range count of boundary child [c] minus its full count: the
+     correction for a child the complement branch counted as covered. *)
+  and boundary_fix t j run_base run_len lo hi less_than below cur slot slack c =
+    let lc = t.stride.(j - 1) in
+    let child_base = run_base + (c * lc) in
+    let child_len = min lc (run_len - (c * lc)) in
+    if lo <= child_base && child_base + child_len <= hi then 0
+    else begin
+      let cp = child_pos t below cur slot slack less_than c child_base child_len in
+      descend_count t (j - 1) child_base child_len cp lo hi less_than - cp
     end
 
   let count t ~lo ~hi ~less_than =
@@ -800,19 +802,26 @@ module Make (S : Mst_storage.S) = struct
     end
 
   let count_ranges t ~ranges ~less_than =
-    Array.fold_left (fun acc (lo, hi) -> acc + count t ~lo ~hi ~less_than) 0 ranges
+    let acc = ref 0 in
+    for r = 0 to Array.length ranges - 1 do
+      let lo, hi = ranges.(r) in
+      acc := !acc + count t ~lo ~hi ~less_than
+    done;
+    !acc
 
   let rec descend_iter t j run_base run_len pos lo hi less_than f =
-    let child_stride = t.stride.(j - 1) in
-    let nc = ((run_len - 1) / child_stride) + 1 in
+    let lc = t.stride.(j - 1) in
+    let nc = ((run_len - 1) / lc) + 1 in
+    let below = t.levels.(j - 1) and cur = t.cursors.(j - 1) in
+    let slot = cursor_slot t j run_base pos and slack = slack_of t pos in
     for c = 0 to nc - 1 do
-      let child_base = run_base + (c * child_stride) in
-      let child_len = min child_stride (run_len - (c * child_stride)) in
+      let child_base = run_base + (c * lc) in
+      let child_len = min lc (run_len - (c * lc)) in
       if child_base < hi && child_base + child_len > lo then begin
-        let cpos = child_position t j run_base pos less_than c ~child_base ~child_len in
+        let cp = child_pos t below cur slot slack less_than c child_base child_len in
         if lo <= child_base && child_base + child_len <= hi then
-          f ~level:(j - 1) ~base:child_base ~prefix:cpos
-        else descend_iter t (j - 1) child_base child_len cpos lo hi less_than f
+          f ~level:(j - 1) ~base:child_base ~prefix:cp
+        else descend_iter t (j - 1) child_base child_len cp lo hi less_than f
       end
     done
 
@@ -830,95 +839,125 @@ module Make (S : Mst_storage.S) = struct
   (* ------------------------------------------------------------------ *)
 
   let count_value_ranges t ~ranges =
-    if t.n = 0 then 0
-    else begin
-      let h = Array.length t.levels - 1 in
-      let top = t.levels.(h) in
-      Array.fold_left
-        (fun acc (vlo, vhi) ->
-          acc + S.lower_bound top ~lo:0 ~hi:t.n vhi - S.lower_bound top ~lo:0 ~hi:t.n vlo)
-        0 ranges
-    end
+    let top = t.levels.(Array.length t.levels - 1) in
+    let acc = ref 0 in
+    for r = 0 to Array.length ranges - 1 do
+      let vlo, vhi = ranges.(r) in
+      acc := !acc + S.lower_bound top ~lo:0 ~hi:t.n vhi - S.lower_bound top ~lo:0 ~hi:t.n vlo
+    done;
+    !acc
 
-  (* [bounds] holds, for the current node's run, the run-relative position
-     of every range bound: bounds.(2r) for ranges.(r)'s lower value bound,
-     bounds.(2r+1) for its upper. The qualifying count inside the node is
-     Σ (bounds.(2r+1) - bounds.(2r)). *)
-  let rec descend_select t j run_base run_len (ranges : (int * int) array) bounds m =
-    if j = 0 then begin
-      assert (m = 0);
-      S.get t.levels.(0) run_base
-    end
-    else begin
-      let child_stride = t.stride.(j - 1) in
-      let nc = ((run_len - 1) / child_stride) + 1 in
-      let nr = Array.length ranges in
-      let nb = 2 * nr in
-      let child_bounds = Array.make nb 0 in
-      let below = t.levels.(j - 1) in
-      (* hoisted per-node cascade state: the sampled cursor slot and the
-         search slack of each bound are fixed across children, so compute
-         them once per node instead of once per (bound, child) pair *)
-      let sbase = Array.make nb 0 and slack = Array.make nb 0 in
-      if t.sample > 0 then begin
-        let k = t.sample in
-        let node_states = run_base / t.stride.(j) * t.spr.(j - 1) in
-        for b = 0 to nb - 1 do
-          let s = bounds.(b) / k * k in
-          sbase.(b) <- (node_states + (s / k)) * t.fanout;
-          slack.(b) <- bounds.(b) - s
-        done
-      end;
-      let m = ref m in
-      let result = ref 0 in
-      let found = ref false in
-      let c = ref 0 in
-      while not !found do
-        assert (!c < nc);
-        let child_base = run_base + (!c * child_stride) in
-        let child_len = min child_stride (run_len - (!c * child_stride)) in
+  let out_of_bounds nth total =
+    invalid_arg (Printf.sprintf "%s.select: nth=%d out of bounds (%d qualifying)" S.name nth total)
+
+  (* The frame case: one value range [vlo, vhi). The top level is searched
+     once for both bounds; then each level scans the current node's
+     children, skipping whole children's qualifying counts until the one
+     holding the [m]-th qualifying element, and steps into it. The whole
+     cascade state — the node, both bounds' positions in its run and the
+     rank still to skip — lives in loop-local refs. *)
+  let select_one t vlo vhi nth =
+    let n = t.n in
+    let h = Array.length t.levels - 1 in
+    let top = t.levels.(h) in
+    let blo = ref (S.lower_bound top ~lo:0 ~hi:n vlo) in
+    let bhi = ref (S.lower_bound top ~lo:0 ~hi:n vhi) in
+    if nth < 0 || nth >= !bhi - !blo then out_of_bounds nth (!bhi - !blo);
+    let run_base = ref 0 and run_len = ref n and m = ref nth in
+    for j = h downto 1 do
+      let lc = t.stride.(j - 1) in
+      let below = t.levels.(j - 1) and cur = t.cursors.(j - 1) in
+      let slot_lo = cursor_slot t j !run_base !blo and slack_lo = slack_of t !blo in
+      let slot_hi = cursor_slot t j !run_base !bhi and slack_hi = slack_of t !bhi in
+      let c = ref 0 and searching = ref true in
+      while !searching do
+        let child_base = !run_base + (!c * lc) in
+        assert (child_base < !run_base + !run_len);
+        let child_len = min lc (!run_len - (!c * lc)) in
+        let clo = child_pos t below cur slot_lo slack_lo vlo !c child_base child_len in
+        let chi = child_pos t below cur slot_hi slack_hi vhi !c child_base child_len in
+        if !m < chi - clo then begin
+          run_base := child_base;
+          run_len := child_len;
+          blo := clo;
+          bhi := chi;
+          searching := false
+        end
+        else begin
+          m := !m - (chi - clo);
+          incr c
+        end
+      done
+    done;
+    assert (!m = 0);
+    S.get t.levels.(0) !run_base
+
+  (* The holed-frame case: the same descent over the 2·nr bounds of nr
+     value ranges. Its one scratch array holds four rows of 2·nr ints:
+     each bound's position in the current node's run (bound 2r is
+     ranges.(r)'s lower value, 2r+1 its upper) and in the child being
+     scanned — the two rows swap roles on each step down — then each
+     bound's cursor slot and slack in the current node. *)
+  let select_many t ranges nth =
+    let n = t.n in
+    let h = Array.length t.levels - 1 in
+    let top = t.levels.(h) in
+    let nb = 2 * Array.length ranges in
+    let sc = Array.make (4 * nb) 0 in
+    let total = ref 0 in
+    for r = 0 to Array.length ranges - 1 do
+      let vlo, vhi = ranges.(r) in
+      let blo = S.lower_bound top ~lo:0 ~hi:n vlo and bhi = S.lower_bound top ~lo:0 ~hi:n vhi in
+      sc.(2 * r) <- blo;
+      sc.((2 * r) + 1) <- bhi;
+      total := !total + bhi - blo
+    done;
+    if nth < 0 || nth >= !total then out_of_bounds nth !total;
+    let node = ref 0 and child = ref nb and slots = 2 * nb and slacks = 3 * nb in
+    let run_base = ref 0 and run_len = ref n and m = ref nth in
+    for j = h downto 1 do
+      let lc = t.stride.(j - 1) in
+      let below = t.levels.(j - 1) and cur = t.cursors.(j - 1) in
+      for b = 0 to nb - 1 do
+        let p = sc.(!node + b) in
+        sc.(slots + b) <- cursor_slot t j !run_base p;
+        sc.(slacks + b) <- slack_of t p
+      done;
+      let c = ref 0 and searching = ref true in
+      while !searching do
+        let child_base = !run_base + (!c * lc) in
+        assert (child_base < !run_base + !run_len);
+        let child_len = min lc (!run_len - (!c * lc)) in
         let qual = ref 0 in
         for b = 0 to nb - 1 do
           let v = if b land 1 = 0 then fst ranges.(b / 2) else snd ranges.(b / 2) in
-          let cp =
-            if t.sample = 0 then
-              S.lower_bound below ~lo:child_base ~hi:(child_base + child_len) v - child_base
-            else begin
-              let off = S.get t.cursors.(j - 1) (sbase.(b) + !c) in
-              let whi = min (off + slack.(b)) child_len in
-              S.lower_bound below ~lo:(child_base + off) ~hi:(child_base + whi) v - child_base
-            end
-          in
-          child_bounds.(b) <- cp;
-          if b land 1 = 1 then qual := !qual + cp - child_bounds.(b - 1)
+          let cp = child_pos t below cur sc.(slots + b) sc.(slacks + b) v !c child_base child_len in
+          sc.(!child + b) <- cp;
+          if b land 1 = 1 then qual := !qual + cp - sc.(!child + b - 1)
         done;
         if !m < !qual then begin
-          result := descend_select t (j - 1) child_base child_len ranges child_bounds !m;
-          found := true
+          let swap = !node in
+          node := !child;
+          child := swap;
+          run_base := child_base;
+          run_len := child_len;
+          searching := false
         end
         else begin
           m := !m - !qual;
           incr c
         end
-      done;
-      !result
-    end
+      done
+    done;
+    assert (!m = 0);
+    S.get t.levels.(0) !run_base
 
   let select t ~ranges ~nth =
-    let total = count_value_ranges t ~ranges in
-    if nth < 0 || nth >= total then
-      invalid_arg
-        (Printf.sprintf "%s.select: nth=%d out of bounds (%d qualifying)" S.name nth total);
-    let h = Array.length t.levels - 1 in
-    let top = t.levels.(h) in
-    let nr = Array.length ranges in
-    let bounds = Array.make (2 * nr) 0 in
-    for r = 0 to nr - 1 do
-      let vlo, vhi = ranges.(r) in
-      bounds.(2 * r) <- S.lower_bound top ~lo:0 ~hi:t.n vlo;
-      bounds.((2 * r) + 1) <- S.lower_bound top ~lo:0 ~hi:t.n vhi
-    done;
-    descend_select t h 0 t.n ranges bounds nth
+    if Array.length ranges = 1 then begin
+      let vlo, vhi = ranges.(0) in
+      select_one t vlo vhi nth
+    end
+    else select_many t ranges nth
 
   (* ------------------------------------------------------------------ *)
   (* Statistics                                                          *)

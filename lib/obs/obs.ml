@@ -45,6 +45,26 @@ let record s =
 (* Per-domain stack of open spans, for parent links and [annotate]. *)
 let stack_key : span list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 
+(* Per-domain running maximum of [major_words - promoted_words], the
+   words allocated directly on the major heap (promotions appear in both
+   tallies).  A minor collection adds its promotions to [promoted_words]
+   at once — survivors allocated before the span that holds it, and
+   other domains' — while this domain's [major_words] catches them up
+   only at a later major slice, often in a later span.  The raw
+   difference therefore dips and recovers; its running maximum only
+   grows, and equals the raw value whenever the tallies agree.  Charging
+   each span the growth of the maximum keeps every span non-negative and
+   makes the spans of a domain sum to its exact direct-major allocation.
+   A one-element float array stores the value unboxed. *)
+let direct_key : float array Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> [| Float.neg_infinity |])
+
+let direct_major (g : Gc.stat) =
+  let r = Domain.DLS.get direct_key in
+  let d = g.Gc.major_words -. g.Gc.promoted_words in
+  if d > r.(0) then r.(0) <- d;
+  r.(0)
+
 let span ?args name f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
@@ -78,16 +98,15 @@ let span ?args name f =
        collection.  Work that the span offloads to pool workers on other
        domains is attributed to those workers' spans, not to this one. *)
     let g0 = Gc.quick_stat () in
+    let d0 = direct_major g0 in
     let m0 = Gc.minor_words () in
     let finish () =
       s.dur_ns <- now_ns () - s.t0_ns;
       let minor = Gc.minor_words () -. m0 in
       let g1 = Gc.quick_stat () in
-      let major = g1.Gc.major_words -. g0.Gc.major_words in
       let promoted = g1.Gc.promoted_words -. g0.Gc.promoted_words in
-      (* words freshly allocated: minor + direct-to-major, not counting
-         promotions twice (promoted words appear in both tallies) *)
-      s.alloc_w <- int_of_float (minor +. major -. promoted);
+      (* words freshly allocated: minor + direct-to-major *)
+      s.alloc_w <- int_of_float (minor +. (direct_major g1 -. d0));
       s.promoted_w <- int_of_float promoted;
       s.majors <- g1.Gc.major_collections - g0.Gc.major_collections;
       (match args with None -> () | Some g -> s.args <- s.args @ g ());

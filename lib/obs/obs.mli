@@ -28,8 +28,11 @@ val span : ?args:(unit -> (string * string) list) -> string -> (unit -> 'a) -> '
     Each enabled span also samples [Gc.quick_stat] at entry and exit and
     stores the deltas: words allocated ([alloc_w], minor + direct-major,
     promotions not double-counted), words promoted and major collections
-    finished during the span.  The counters are per-domain — work a span
-    hands to pool workers is accounted to the workers' own spans. *)
+    finished during the span.  [alloc_w] is never negative, and a domain's
+    consecutive spans sum to its exact allocation even when a major slice
+    catches up with a minor collection's promotions in a later span.  The
+    counters are per-domain — work a span hands to pool workers is
+    accounted to the workers' own spans. *)
 
 val annotate : (string * string) list -> unit
 (** Append key/value arguments to the innermost open span of the current

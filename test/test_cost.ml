@@ -115,14 +115,45 @@ let make_table rng n =
   Table.create [ ("ts", Column.ints ts) ]
 
 let seconds f =
+  Gc.compact ();
   let t0 = Obs.now_ns () in
   let _ = f () in
   float_of_int (Obs.now_ns () - t0) *. 1e-9
 
+(* Pairs of runs, each from a compacted heap, until one side has won 5
+   — the majority of 9 pairs: the pairs [f] won, the pairs run, and each
+   side's best time.  Pairs alternate which side runs first, so an order
+   effect falls on both sides.  The host's speed drifts between runs by
+   more than the smaller gaps measured here, so neither one run nor the
+   best of several decides reliably; a pair's two runs see the same
+   stretch of the host, and the majority of pairs decides.  [g] may win
+   up to 4 of the 9 pairs. *)
+let pairs_won f g =
+  let won = ref 0 and lost = ref 0 and bf = ref infinity and bg = ref infinity in
+  while !won < 5 && !lost < 5 do
+    let tf, tg =
+      if (!won + !lost) land 1 = 0 then
+        let tf = seconds f in
+        (tf, seconds g)
+      else
+        let tg = seconds g in
+        (seconds f, tg)
+    in
+    if tf < tg then incr won else incr lost;
+    bf := Float.min !bf tf;
+    bg := Float.min !bg tg
+  done;
+  (!won, !won + !lost, !bf, !bg)
+
 (* At each size: a 2-row frame must favour naive, the default (growing,
-   ~n/2) frame must favour MST — both in the model's predictions and in a
-   measured run.  The gaps are order-of-magnitude, so the wall-clock leg
-   is robust to CI noise. *)
+   ~n/2) frame must favour MST — both in the model's predictions and in
+   measured runs.  The growing-frame gap is large (MST's O(log n) probes
+   against naive's O(frame) scans), but on the 2-row frame the two
+   backends are within a small factor: naive's per-row work is tiny,
+   while MST pays its build and a short descent per row, and both share
+   the sort and rank encoding that dominate the query.  The measured leg
+   therefore runs the backends in pairs and needs the predicted one to
+   win 5 of at most 9. *)
 let test_crossover () =
   let pool = Task_pool.create 1 in
   Fun.protect
@@ -147,12 +178,14 @@ let test_crossover () =
                 (Cost.cost c i fast < Cost.cost c i slow);
               ignore (run over fast) (* warm both paths before timing *);
               ignore (run over slow);
-              let t_fast = seconds (fun () -> run over fast) in
-              let t_slow = seconds (fun () -> run over slow) in
+              let won, pairs, t_fast, t_slow =
+                pairs_won (fun () -> run over fast) (fun () -> run over slow)
+              in
               Alcotest.(check bool)
-                (Printf.sprintf "n=%d %s: measured %s %.4fs < %s %.4fs" n label
-                   (Ec.to_string fast) t_fast (Ec.to_string slow) t_slow)
-                true (t_fast < t_slow))
+                (Printf.sprintf
+                   "n=%d %s: measured %s faster than %s in %d of %d pairs (best %.4fs vs %.4fs)"
+                   n label (Ec.to_string fast) (Ec.to_string slow) won pairs t_fast t_slow)
+                true (won = 5))
             [
               ("2-row frame", tiny, Ec.Naive, Ec.Mst);
               ("growing frame", growing, Ec.Mst, Ec.Naive);

@@ -288,6 +288,67 @@ let test_gc_sampling () =
   Alcotest.(check bool) "non-negative GC fields" true
     (s.Obs.promoted_w >= 0 && s.Obs.majors >= 0)
 
+(* A minor collection adds its promotions to [promoted_words] at once,
+   here survivors allocated before the span that holds it, while
+   [major_words] catches them up only at a later major slice.  Span
+   "promote" stops right after the collection, so the lag is open when
+   it closes; span "catch-up" runs until the slice has closed it.  Both
+   allocate only on the minor heap, so each [alloc_w] must be its body's
+   minor words (plus a few words of span bookkeeping): the lag must make
+   neither span negative nor charge the promotions to the later one.
+   The allocator triggers the collection: an explicit [Gc.minor ()]
+   brings [major_words] up to date and would hide the lag. *)
+let test_gc_promotion_alloc () =
+  Gc.minor ();
+  (* ~60k live young words, promoted by the first span's collection *)
+  let live = ref [] in
+  for i = 0 to 9_999 do
+    live := (i, i) :: !live
+  done;
+  let stat () = Gc.quick_stat () in
+  let direct () =
+    let g = stat () in
+    g.Gc.major_words -. g.Gc.promoted_words
+  in
+  let d_before = direct () in
+  let limit = 8 * (Gc.get ()).Gc.minor_heap_size in
+  (* allocate short-lived pairs until [stop ()]; returns the minor words *)
+  let churn stop =
+    let m0 = Gc.minor_words () in
+    while (not (stop ())) && Gc.minor_words () -. m0 < float_of_int limit do
+      for i = 0 to 99 do
+        ignore (Sys.opaque_identity (i, i))
+      done
+    done;
+    int_of_float (Gc.minor_words () -. m0)
+  in
+  let p0 = (stat ()).Gc.promoted_words in
+  let inner1 = ref 0 and inner2 = ref 0 and lag = ref 0.0 in
+  let (), tr =
+    Obs.with_capture (fun () ->
+        Obs.span "promote" (fun () ->
+            inner1 := churn (fun () -> (stat ()).Gc.promoted_words -. p0 >= 50_000.0));
+        lag := d_before -. direct ();
+        Obs.span "catch-up" (fun () -> inner2 := churn (fun () -> direct () >= d_before)))
+  in
+  ignore (Sys.opaque_identity !live);
+  Alcotest.(check bool)
+    (Printf.sprintf "the collection left a lag (%.0f words)" !lag)
+    true (!lag >= 50_000.0);
+  Alcotest.(check bool) "the later slice closed it" true (direct () >= d_before);
+  List.iter
+    (fun (name, inner) ->
+      let s = List.find (fun s -> s.Obs.name = name) tr.Obs.spans in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: alloc_w %d >= the body's %d minor words" name s.Obs.alloc_w inner)
+        true (s.Obs.alloc_w >= inner);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: alloc_w %d within 64 words of the body's %d" name s.Obs.alloc_w
+           inner)
+        true
+        (s.Obs.alloc_w <= inner + 64))
+    [ ("promote", !inner1); ("catch-up", !inner2) ]
+
 let test_self_totals () =
   let mk id parent name dur_ns =
     {
@@ -599,6 +660,7 @@ let () =
         [
           Alcotest.test_case "record_bytes attribution" `Quick test_record_bytes;
           Alcotest.test_case "GC sampling per span" `Quick test_gc_sampling;
+          Alcotest.test_case "promotion lag charges no span" `Quick test_gc_promotion_alloc;
           Alcotest.test_case "self_totals" `Quick test_self_totals;
           Alcotest.test_case "footprint parity (64-bit MST)" `Quick test_footprint_parity;
         ] );

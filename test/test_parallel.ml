@@ -196,6 +196,9 @@ let test_build_cache_concurrent () =
         [ Sort_spec.asc (Holistic_storage.Expr.Col (Printf.sprintf "c%d" i)) ])
   in
   let builds = Atomic.make 0 in
+  (* Alcotest is not domain-safe: tasks only record what they saw, the
+     assertions run on this domain once [run_list] has joined *)
+  let seen = Array.make 64 (-1) in
   Task_pool.run_list pool
     (List.init 64 (fun i () ->
          let order = keys.(i mod 8) in
@@ -206,11 +209,12 @@ let test_build_cache_concurrent () =
                ignore (Sys.opaque_identity (Array.init 2_000 (fun j -> j * j)));
                Holistic_core.Rank_encode.of_ints (Array.make (1 + (i mod 8)) 0))
          in
-         (* the structure's size identifies which key it was built for *)
-         Alcotest.(check int)
-           "every requester sees the key's structure"
-           (1 + (i mod 8))
-           (Array.length got.Holistic_core.Rank_encode.permutation)));
+         seen.(i) <- Array.length got.Holistic_core.Rank_encode.permutation));
+  (* the structure's size identifies which key it was built for *)
+  Array.iteri
+    (fun i len ->
+      Alcotest.(check int) "every requester sees the key's structure" (1 + (i mod 8)) len)
+    seen;
   Alcotest.(check int) "each key built exactly once" 8 (Atomic.get builds);
   Alcotest.(check int) "encode counter agrees" 8 (Build_cache.encode_build_count counters);
   Task_pool.shutdown pool

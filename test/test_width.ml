@@ -173,6 +173,186 @@ let of_mst_matches_direct =
       C.stats direct = C.stats converted && !ok)
 
 (* ------------------------------------------------------------------ *)
+(* Probe paths: single range vs. split ranges vs. a sorting oracle      *)
+(* ------------------------------------------------------------------ *)
+
+(* The query entry points shared by the three instantiations, so one body
+   of checks runs at every width without a per-call closure. *)
+module type PROBE = sig
+  type t
+
+  val name : string
+
+  val create :
+    ?pool:Holistic_parallel.Task_pool.t ->
+    ?fanout:int ->
+    ?sample:int ->
+    ?track_payload:bool ->
+    int array ->
+    t
+
+  val count : t -> lo:int -> hi:int -> less_than:int -> int
+  val count_ranges : t -> ranges:(int * int) array -> less_than:int -> int
+  val count_value_ranges : t -> ranges:(int * int) array -> int
+  val select : t -> ranges:(int * int) array -> nth:int -> int
+end
+
+module P64 = struct
+  include Mst
+
+  let name = "Mst"
+end
+
+module P32 = struct
+  include C
+
+  let name = "Mst_compact"
+end
+
+module P16 = struct
+  include M16
+
+  let name = "Mst16"
+end
+
+(* count by sorting the window and binary-searching the threshold *)
+let sorted_count a lo hi th =
+  let lo = max lo 0 and hi = min hi (Array.length a) in
+  if lo >= hi then 0
+  else begin
+    let w = Array.sub a lo (hi - lo) in
+    Array.sort compare w;
+    let l = ref 0 and r = ref (Array.length w) in
+    while !l < !r do
+      let mid = (!l + !r) / 2 in
+      if w.(mid) < th then l := mid + 1 else r := mid
+    done;
+    !l
+  end
+
+let select_error f =
+  match f () with
+  | _ -> "no exception"
+  | exception Invalid_argument msg -> msg
+
+module Probe_checks (P : PROBE) = struct
+  (* Single-range [count]/[select] against the same range split into two
+     adjacent pieces (the multi-range paths) and against the oracles. *)
+  let parity ~n ~fanout ~sample =
+    let rng = Rng.create ((n * 31) + (fanout * 7) + sample) in
+    let span = 1 + (n / 3) in
+    let a = Array.init n (fun _ -> Rng.int rng span) in
+    let t = P.create ~fanout ~sample a in
+    let where = Printf.sprintf "%s n=%d f=%d k=%d" P.name n fanout sample in
+    for _ = 1 to 60 do
+      let lo = Rng.int rng (n + 3) - 1 in
+      let hi = lo + Rng.int rng (n + 2) in
+      let mid = lo + Rng.int rng (hi - lo + 1) in
+      let th = Rng.int rng (span + 2) - 1 in
+      let expect = sorted_count a lo hi th in
+      Alcotest.(check int) (where ^ " count") expect (P.count t ~lo ~hi ~less_than:th);
+      Alcotest.(check int) (where ^ " count_ranges, one piece") expect
+        (P.count_ranges t ~ranges:[| (lo, hi) |] ~less_than:th);
+      Alcotest.(check int) (where ^ " count_ranges, split") expect
+        (P.count_ranges t ~ranges:[| (lo, mid); (mid, hi) |] ~less_than:th);
+      let vlo = Rng.int rng (span + 2) - 1 in
+      let vhi = vlo + Rng.int rng (span + 1) in
+      let vmid = vlo + Rng.int rng (vhi - vlo + 1) in
+      let one = [| (vlo, vhi) |] and split = [| (vlo, vmid); (vmid, vhi) |] in
+      let total = brute_cvr a one in
+      Alcotest.(check int) (where ^ " qualifying") total (P.count_value_ranges t ~ranges:one);
+      if total > 0 then begin
+        let nth = Rng.int rng total in
+        let expect = Option.get (brute_select a one nth) in
+        Alcotest.(check int) (where ^ " select") expect (P.select t ~ranges:one ~nth);
+        Alcotest.(check int) (where ^ " select, split") expect (P.select t ~ranges:split ~nth)
+      end;
+      (* both paths reject the same out-of-range ranks with one message *)
+      List.iter
+        (fun nth ->
+          let msg =
+            Printf.sprintf "%s.select: nth=%d out of bounds (%d qualifying)" P.name nth total
+          in
+          Alcotest.(check string) (where ^ " bounds") msg
+            (select_error (fun () -> P.select t ~ranges:one ~nth));
+          Alcotest.(check string) (where ^ " bounds, split") msg
+            (select_error (fun () -> P.select t ~ranges:split ~nth)))
+        [ -1; total ]
+    done
+
+  let test_parity () =
+    List.iter
+      (fun n ->
+        List.iter
+          (fun fanout ->
+            List.iter (fun sample -> parity ~n ~fanout ~sample) [ 0; 1; 4; 32 ])
+          [ 2; 5; 32 ])
+      [ 0; 1; 2; 33; 257; 1500 ]
+
+  (* The probe loops allocate nothing: 10k probes of each kind leave the
+     minor heap pointer where it was. *)
+  let test_no_alloc () =
+    let probes = 10_000 and n = 5_000 in
+    let rng = Rng.create 4242 in
+    let a = Array.init n (fun _ -> Rng.int rng 4096) in
+    let t = P.create a in
+    let lo = Array.init probes (fun _ -> Rng.int rng n) in
+    let hi = Array.map (fun l -> l + 1 + Rng.int rng (n - l)) lo in
+    let th = Array.init probes (fun _ -> Rng.int rng 4096) in
+    let pieces =
+      Array.init probes (fun i ->
+          let mid = lo.(i) + Rng.int rng (hi.(i) - lo.(i) + 1) in
+          [| (lo.(i), mid); (mid, hi.(i)) |])
+    in
+    let one =
+      Array.init probes (fun _ ->
+          let v = Rng.int rng 4000 in
+          [| (v, v + 1 + Rng.int rng 96) |])
+    in
+    let nth =
+      Array.map (fun r -> Rng.int rng (max 1 (P.count_value_ranges t ~ranges:r))) one
+    in
+    let words f =
+      let w0 = int_of_float (Gc.minor_words ()) in
+      let acc = f () in
+      let w = int_of_float (Gc.minor_words ()) - w0 in
+      ignore (Sys.opaque_identity acc);
+      w
+    in
+    let count () =
+      let acc = ref 0 in
+      for i = 0 to probes - 1 do
+        acc := !acc + P.count t ~lo:lo.(i) ~hi:hi.(i) ~less_than:th.(i)
+      done;
+      !acc
+    in
+    let count_ranges () =
+      let acc = ref 0 in
+      for i = 0 to probes - 1 do
+        acc := !acc + P.count_ranges t ~ranges:pieces.(i) ~less_than:th.(i)
+      done;
+      !acc
+    in
+    let select () =
+      let acc = ref 0 in
+      for i = 0 to probes - 1 do
+        if P.count_value_ranges t ~ranges:one.(i) > 0 then
+          acc := !acc + P.select t ~ranges:one.(i) ~nth:nth.(i)
+      done;
+      !acc
+    in
+    (* first calls outside the measurement *)
+    ignore (count () + count_ranges () + select ());
+    Alcotest.(check int) (P.name ^ " count words") 0 (words count);
+    Alcotest.(check int) (P.name ^ " count_ranges words") 0 (words count_ranges);
+    Alcotest.(check int) (P.name ^ " select words") 0 (words select)
+end
+
+module Checks64 = Probe_checks (P64)
+module Checks32 = Probe_checks (P32)
+module Checks16 = Probe_checks (P16)
+
+(* ------------------------------------------------------------------ *)
 (* Width boundaries: rejection                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -280,6 +460,15 @@ let () =
         [
           QCheck_alcotest.to_alcotest widths_agree;
           QCheck_alcotest.to_alcotest of_mst_matches_direct;
+        ] );
+      ( "probes",
+        [
+          Alcotest.test_case "64-bit single range = split = oracle" `Quick Checks64.test_parity;
+          Alcotest.test_case "32-bit single range = split = oracle" `Quick Checks32.test_parity;
+          Alcotest.test_case "16-bit single range = split = oracle" `Quick Checks16.test_parity;
+          Alcotest.test_case "64-bit probes allocate nothing" `Quick Checks64.test_no_alloc;
+          Alcotest.test_case "32-bit probes allocate nothing" `Quick Checks32.test_no_alloc;
+          Alcotest.test_case "16-bit probes allocate nothing" `Quick Checks16.test_no_alloc;
         ] );
       ( "boundaries",
         [
