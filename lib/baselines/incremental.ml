@@ -1,31 +1,36 @@
-module Distinct_count = struct
-  type t = { table : (int, int) Hashtbl.t; mutable distinct : int }
+(* Int-keyed tables: the polymorphic [Hashtbl] calls the generic compare on
+   every bucket probe.  [Int.hash] is [Hashtbl.hash] on ints, so bucket
+   layout and iteration order are unchanged. *)
+module Int_tbl = Hashtbl.Make (Int)
 
-  let create () = { table = Hashtbl.create 64; distinct = 0 }
+module Distinct_count = struct
+  type t = { table : int Int_tbl.t; mutable distinct : int }
+
+  let create () = { table = Int_tbl.create 64; distinct = 0 }
 
   let add t v =
-    match Hashtbl.find_opt t.table v with
+    match Int_tbl.find_opt t.table v with
     | None ->
-        Hashtbl.replace t.table v 1;
+        Int_tbl.replace t.table v 1;
         t.distinct <- t.distinct + 1
-    | Some m -> Hashtbl.replace t.table v (m + 1)
+    | Some m -> Int_tbl.replace t.table v (m + 1)
 
   let remove t v =
-    match Hashtbl.find_opt t.table v with
+    match Int_tbl.find_opt t.table v with
     | None -> invalid_arg "Incremental.Distinct_count.remove: absent value"
     | Some 1 ->
-        Hashtbl.remove t.table v;
+        Int_tbl.remove t.table v;
         t.distinct <- t.distinct - 1
-    | Some m -> Hashtbl.replace t.table v (m - 1)
+    | Some m -> Int_tbl.replace t.table v (m - 1)
 
   let count t = t.distinct
 
   let clear t =
-    Hashtbl.reset t.table;
+    Int_tbl.reset t.table;
     t.distinct <- 0
 
   let footprint_bytes t =
-    let s = Hashtbl.stats t.table in
+    let s = Int_tbl.stats t.table in
     (* record (header + 2 fields), table record, bucket array, and one
        3-word cons + 2-word boxed pair per binding *)
     8 * (3 + 5 + 1 + s.Hashtbl.num_buckets + (5 * s.Hashtbl.num_bindings))
@@ -76,48 +81,48 @@ end
 
 module Mode = struct
   type t = {
-    counts : (int, int) Hashtbl.t; (* id -> multiplicity *)
-    buckets : (int, (int, unit) Hashtbl.t) Hashtbl.t; (* multiplicity -> ids *)
+    counts : int Int_tbl.t; (* id -> multiplicity *)
+    buckets : unit Int_tbl.t Int_tbl.t; (* multiplicity -> ids *)
     mutable max_count : int;
     mutable size : int;
   }
 
   let create () =
-    { counts = Hashtbl.create 64; buckets = Hashtbl.create 16; max_count = 0; size = 0 }
+    { counts = Int_tbl.create 64; buckets = Int_tbl.create 16; max_count = 0; size = 0 }
 
   let bucket t c =
-    match Hashtbl.find_opt t.buckets c with
+    match Int_tbl.find_opt t.buckets c with
     | Some b -> b
     | None ->
-        let b = Hashtbl.create 8 in
-        Hashtbl.replace t.buckets c b;
+        let b = Int_tbl.create 8 in
+        Int_tbl.replace t.buckets c b;
         b
 
   let move t v ~from ~into =
     if from > 0 then begin
       let b = bucket t from in
-      Hashtbl.remove b v;
-      if Hashtbl.length b = 0 then Hashtbl.remove t.buckets from
+      Int_tbl.remove b v;
+      if Int_tbl.length b = 0 then Int_tbl.remove t.buckets from
     end;
     if into > 0 then begin
-      Hashtbl.replace (bucket t into) v ();
-      Hashtbl.replace t.counts v into
+      Int_tbl.replace (bucket t into) v ();
+      Int_tbl.replace t.counts v into
     end
-    else Hashtbl.remove t.counts v
+    else Int_tbl.remove t.counts v
 
   let add t v =
-    let c = Option.value (Hashtbl.find_opt t.counts v) ~default:0 in
+    let c = Option.value (Int_tbl.find_opt t.counts v) ~default:0 in
     move t v ~from:c ~into:(c + 1);
     if c + 1 > t.max_count then t.max_count <- c + 1;
     t.size <- t.size + 1
 
   let remove t v =
-    match Hashtbl.find_opt t.counts v with
+    match Int_tbl.find_opt t.counts v with
     | None | Some 0 -> invalid_arg "Incremental.Mode.remove: absent value"
     | Some c ->
         move t v ~from:c ~into:(c - 1);
         (* the max can only drop by one, and only when its bucket empties *)
-        if c = t.max_count && not (Hashtbl.mem t.buckets c) then t.max_count <- c - 1;
+        if c = t.max_count && not (Int_tbl.mem t.buckets c) then t.max_count <- c - 1;
         t.size <- t.size - 1
 
   let size t = t.size
@@ -127,7 +132,7 @@ module Mode = struct
     if t.max_count = 0 then None
     else begin
       let best = ref None in
-      Hashtbl.iter
+      Int_tbl.iter
         (fun v () ->
           match !best with
           | None -> best := Some v
@@ -137,8 +142,8 @@ module Mode = struct
     end
 
   let clear t =
-    Hashtbl.reset t.counts;
-    Hashtbl.reset t.buckets;
+    Int_tbl.reset t.counts;
+    Int_tbl.reset t.buckets;
     t.max_count <- 0;
     t.size <- 0
 
@@ -146,9 +151,9 @@ module Mode = struct
     8 * (5 + 1 + stats.Hashtbl.num_buckets + (5 * stats.Hashtbl.num_bindings))
 
   let footprint_bytes t =
-    let nested = Hashtbl.fold (fun _ b acc -> acc + table_bytes (Hashtbl.stats b)) t.buckets 0 in
+    let nested = Int_tbl.fold (fun _ b acc -> acc + table_bytes (Int_tbl.stats b)) t.buckets 0 in
     (* record (header + 4 fields) + both top-level tables + nested id sets *)
-    (8 * 5) + table_bytes (Hashtbl.stats t.counts) + table_bytes (Hashtbl.stats t.buckets) + nested
+    (8 * 5) + table_bytes (Int_tbl.stats t.counts) + table_bytes (Int_tbl.stats t.buckets) + nested
 end
 
 module Frame_driver = struct
@@ -158,7 +163,7 @@ module Frame_driver = struct
     let cur_lo = ref 0 and cur_hi = ref 0 in
     for i = lo to hi - 1 do
       let flo, fhi = frame i in
-      let flo = max 0 (min flo n) and fhi = max 0 (min fhi n) in
+      let flo = Int.max 0 (Int.min flo n) and fhi = Int.max 0 (Int.min fhi n) in
       let flo, fhi = if flo > fhi then (flo, flo) else (flo, fhi) in
       (* Morph [cur_lo, cur_hi) into [flo, fhi) with adds/removes. When the
          frames are disjoint everything is removed then re-added — the

@@ -32,47 +32,58 @@ let rec quickselect (a : int array) lo hi k =
     else quickselect a !gt hi (k - (!gt - lo))
   end
 
-let covered_length ranges =
-  Array.fold_left (fun acc (lo, hi) -> acc + max 0 (hi - lo)) 0 ranges
+(* The scans below are typed ([int array], int compares) and loop over
+   [ranges] with [for]: an untyped [<] is a call into the generic compare,
+   and an [Array.iter] closure allocates on every call. *)
+let covered_length (ranges : (int * int) array) =
+  let acc = ref 0 in
+  for r = 0 to Array.length ranges - 1 do
+    let lo, hi = Array.unsafe_get ranges r in
+    if hi > lo then acc := !acc + (hi - lo)
+  done;
+  !acc
 
-let select_kth values ~scratch ~ranges ~k =
+let select_kth (values : int array) ~(scratch : int array) ~(ranges : (int * int) array) ~k =
   let len = ref 0 in
-  Array.iter
-    (fun (lo, hi) ->
-      for i = lo to hi - 1 do
-        scratch.(!len) <- values.(i);
-        incr len
-      done)
-    ranges;
+  for r = 0 to Array.length ranges - 1 do
+    let lo, hi = Array.unsafe_get ranges r in
+    for i = lo to hi - 1 do
+      scratch.(!len) <- values.(i);
+      incr len
+    done
+  done;
   if k < 0 || k >= !len then invalid_arg "Naive.select_kth: k out of bounds";
   quickselect scratch 0 !len k
 
-let count_less values ~ranges ~less_than =
+let count_less (values : int array) ~(ranges : (int * int) array) ~(less_than : int) =
   let acc = ref 0 in
-  Array.iter
-    (fun (lo, hi) ->
-      for i = lo to hi - 1 do
-        if values.(i) < less_than then incr acc
-      done)
-    ranges;
+  for r = 0 to Array.length ranges - 1 do
+    let lo, hi = Array.unsafe_get ranges r in
+    for i = lo to hi - 1 do
+      if values.(i) < less_than then incr acc
+    done
+  done;
   !acc
 
-let distinct_count values ~ranges =
-  let table = Hashtbl.create (max 16 (covered_length ranges)) in
-  Array.iter
-    (fun (lo, hi) ->
-      for i = lo to hi - 1 do
-        Hashtbl.replace table values.(i) ()
-      done)
-    ranges;
-  Hashtbl.length table
+module Int_tbl = Hashtbl.Make (Int)
 
-let distinct_below values ~ranges ~key =
-  let table = Hashtbl.create 16 in
-  Array.iter
-    (fun (lo, hi) ->
-      for i = lo to hi - 1 do
-        if values.(i) < key then Hashtbl.replace table values.(i) ()
-      done)
-    ranges;
-  Hashtbl.length table
+let distinct_count (values : int array) ~(ranges : (int * int) array) =
+  let table = Int_tbl.create (Int.max 16 (covered_length ranges)) in
+  for r = 0 to Array.length ranges - 1 do
+    let lo, hi = Array.unsafe_get ranges r in
+    for i = lo to hi - 1 do
+      Int_tbl.replace table values.(i) ()
+    done
+  done;
+  Int_tbl.length table
+
+let distinct_below (values : int array) ~(ranges : (int * int) array) ~(key : int) =
+  let table = Int_tbl.create 16 in
+  for r = 0 to Array.length ranges - 1 do
+    let lo, hi = Array.unsafe_get ranges r in
+    for i = lo to hi - 1 do
+      let v = values.(i) in
+      if v < key then Int_tbl.replace table v ()
+    done
+  done;
+  Int_tbl.length table

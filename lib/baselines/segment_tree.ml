@@ -33,7 +33,7 @@ module Make (M : MONOID) = struct
   let footprint_bytes t = 8 * Obj.reachable_words (Obj.repr t.nodes)
 
   let query t ~lo ~hi =
-    let lo = max lo 0 and hi = min hi t.n in
+    let lo = Int.max lo 0 and hi = Int.min hi t.n in
     if lo >= hi then M.identity
     else begin
       let resl = ref M.identity and resr = ref M.identity in
@@ -74,7 +74,7 @@ module Float_min = struct
     type t = float
 
     let identity = infinity
-    let combine a b = if a <= b then a else b
+    let combine (a : float) b = if a <= b then a else b
   end)
 
   type t = T.t
@@ -89,7 +89,7 @@ module Float_max = struct
     type t = float
 
     let identity = neg_infinity
-    let combine a b = if a >= b then a else b
+    let combine (a : float) b = if a >= b then a else b
   end)
 
   type t = T.t

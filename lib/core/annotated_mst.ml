@@ -27,7 +27,7 @@ module Make (M : MONOID) = struct
           for _ = 1 to j do
             if !s < n then s := !s * fanout
           done;
-          max 1 !s
+          Int.max 1 !s
         in
         let payload = payloads.(j) in
         let pref = Array.make n M.identity in

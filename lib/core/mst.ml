@@ -64,5 +64,5 @@ let element_count_formula ~n ~fanout ~sample =
     (* ⌈log_f n⌉·n sorted elements plus (⌈log_f n⌉−1)·n·f/k cursor entries;
        the paper counts the base level separately, we fold it in: levels
        0..h hold (h+1)·n elements of which h·n are sorted copies. *)
-    ((!h + 1) * n) + if sample = 0 then 0 else !h * n * fanout / max 1 sample
+    ((!h + 1) * n) + if sample = 0 then 0 else !h * n * fanout / Int.max 1 sample
   end

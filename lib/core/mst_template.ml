@@ -17,12 +17,6 @@
 
 module Task_pool = Holistic_parallel.Task_pool
 
-(* Int-typed [min]/[max]. [Stdlib]'s are polymorphic: without flambda every
-   use is a call to the generic compare, several per child on the probe
-   path. *)
-let min (a : int) b = if a < b then a else b
-let max (a : int) b = if a > b then a else b
-
 module Make (S : Mst_storage.S) = struct
   type t = {
     n : int;
@@ -110,7 +104,7 @@ module Make (S : Mst_storage.S) = struct
     let sbase = run_base and dbase = run_base in
     for c = 0 to kk - 1 do
       if c < nc then begin
-        let len = min child_stride (run_len - (c * child_stride)) in
+        let len = Int.min child_stride (run_len - (c * child_stride)) in
         cur.(c) <- 0;
         cbase.(c) <- sbase + (c * child_stride);
         clen.(c) <- len;
@@ -229,7 +223,7 @@ module Make (S : Mst_storage.S) = struct
     let sbase = run_base and dbase = run_base in
     for c = 0 to kk - 1 do
       if c < nc then begin
-        let len = min child_stride (run_len - (c * child_stride)) in
+        let len = Int.min child_stride (run_len - (c * child_stride)) in
         cur.(c) <- 0;
         cbase.(c) <- sbase + (c * child_stride);
         clen.(c) <- len;
@@ -353,7 +347,7 @@ module Make (S : Mst_storage.S) = struct
       Array.init h (fun j ->
           if sample = 0 then S.create 0
           else begin
-            let run_len = min stride.(j + 1) n in
+            let run_len = Int.min stride.(j + 1) n in
             let nruns = if n = 0 then 0 else ((n - 1) / stride.(j + 1)) + 1 in
             spr.(j) <- (run_len / sample) + 1;
             states.(j) <- nruns * spr.(j) * fanout;
@@ -375,7 +369,7 @@ module Make (S : Mst_storage.S) = struct
     let shadow_a = if narrow && h >= 1 then Array.make n 0 else [||] in
     let shadow_b = if narrow && h >= 2 then Array.make n 0 else [||] in
     let shadow_c =
-      if narrow && sample > 0 && h >= 1 then Array.make (Array.fold_left max 0 states) 0
+      if narrow && sample > 0 && h >= 1 then Array.make (Array.fold_left Int.max 0 states) 0
       else [||]
     in
     for j = 1 to h do
@@ -404,18 +398,18 @@ module Make (S : Mst_storage.S) = struct
         let sc = make_scratch fanout in
         for r = rlo to rhi - 1 do
           let run_base = r * l in
-          let run_len = min l (n - run_base) in
+          let run_len = Int.min l (n - run_base) in
           merge_one_run ~sc ~src:sarr ~src_payload ~dst:darr ~dst_payload ~cursors:carr
             ~state_base:(r * spr_j * fanout)
             ~fanout ~sample ~run_base ~run_len ~child_stride:stride.(j - 1)
         done;
         if narrow then begin
           let span_base = rlo * l in
-          let span_len = min (rhi * l) n - span_base in
+          let span_len = Int.min (rhi * l) n - span_base in
           S.blit_from_ints darr ~pos:span_base dst ~dst_pos:span_base ~len:span_len;
           if sample > 0 then begin
             let state_lo = rlo * spr_j * fanout in
-            let state_len = min (rhi * spr_j * fanout) states.(j - 1) - state_lo in
+            let state_len = Int.min (rhi * spr_j * fanout) states.(j - 1) - state_lo in
             S.blit_from_ints carr ~pos:state_lo cursors.(j - 1) ~dst_pos:state_lo
               ~len:state_len
           end
@@ -430,7 +424,7 @@ module Make (S : Mst_storage.S) = struct
          small-tree constant factor stays at the sequential build's. *)
       if sequential then merge_runs 0 nruns
       else begin
-        let runs_per_task = max 1 (Task_pool.default_task_size / l) in
+        let runs_per_task = Int.max 1 (Task_pool.default_task_size / l) in
         Task_pool.parallel_for pool ~lo:0 ~hi:nruns ~chunk:runs_per_task merge_runs
       end
     done;
@@ -472,7 +466,7 @@ module Make (S : Mst_storage.S) = struct
       Array.init h (fun j ->
           if sample = 0 then S.create 0
           else begin
-            let run_len = min stride.(j + 1) n in
+            let run_len = Int.min stride.(j + 1) n in
             let nruns = if n = 0 then 0 else ((n - 1) / stride.(j + 1)) + 1 in
             spr.(j) <- (run_len / sample) + 1;
             states.(j) <- nruns * spr.(j) * fanout;
@@ -485,10 +479,10 @@ module Make (S : Mst_storage.S) = struct
     let zero_fill dst =
       let len = S.length dst in
       if len > 0 then begin
-        let z = Array.make (min stream_chunk len) 0 in
+        let z = Array.make (Int.min stream_chunk len) 0 in
         let p = ref 0 in
         while !p < len do
-          let l = min (Array.length z) (len - !p) in
+          let l = Int.min (Array.length z) (len - !p) in
           S.blit_from_ints z ~pos:0 dst ~dst_pos:!p ~len:l;
           p := !p + l
         done
@@ -498,10 +492,10 @@ module Make (S : Mst_storage.S) = struct
     (* stream the leaves in chunks, validating the range that
        [blit_from_ints] deliberately does not *)
     if n > 0 then begin
-      let chunk = Array.make (min stream_chunk n) 0 in
+      let chunk = Array.make (Int.min stream_chunk n) 0 in
       let pos = ref 0 in
       while !pos < n do
-        let len = min (Array.length chunk) (n - !pos) in
+        let len = Int.min (Array.length chunk) (n - !pos) in
         fill chunk ~pos:!pos ~len;
         for i = 0 to len - 1 do
           let v = Array.unsafe_get chunk i in
@@ -515,7 +509,7 @@ module Make (S : Mst_storage.S) = struct
        non-decreasing; unwritten slots inside a flushed span go out as
        zeros (matching [create]'s zeroed gaps) *)
     let make_writer dst =
-      let wcap = min stream_chunk (max 1 (S.length dst)) in
+      let wcap = Int.min stream_chunk (Int.max 1 (S.length dst)) in
       let buf = Array.make wcap 0 in
       let base = ref (-1) and hi = ref 0 in
       let flush () =
@@ -548,7 +542,7 @@ module Make (S : Mst_storage.S) = struct
       let spr_j = if sample = 0 then 0 else spr.(j - 1) in
       for r = 0 to nruns - 1 do
         let run_base = r * l in
-        let run_len = min l (n - run_base) in
+        let run_len = Int.min l (n - run_base) in
         merge_one_run_gen ~sc ~src_get ~dst_put ~cur_put
           ~state_base:(r * spr_j * fanout)
           ~fanout ~sample ~run_base ~run_len ~child_stride:stride.(j - 1)
@@ -618,7 +612,7 @@ module Make (S : Mst_storage.S) = struct
           Array.init h (fun j ->
               if sample = 0 then [||]
               else begin
-                let run_len = min stride.(j + 1) n in
+                let run_len = Int.min stride.(j + 1) n in
                 let nruns = if n = 0 then 0 else ((n - 1) / stride.(j + 1)) + 1 in
                 spr.(j) <- (run_len / sample) + 1;
                 Array.make (nruns * spr.(j) * fanout) 0
@@ -635,7 +629,7 @@ module Make (S : Mst_storage.S) = struct
           let carr = if sample = 0 then [||] else cursors.(j - 1) in
           for r = 0 to nruns - 1 do
             let run_base = r * l in
-            let run_len = min l (n - run_base) in
+            let run_len = Int.min l (n - run_base) in
             if j <= h_old && run_len = l && run_base + l <= n_old then begin
               (* stable run: same leaves, same merge → copy values and
                  sampled cursor states verbatim from the old tree *)
@@ -727,7 +721,7 @@ module Make (S : Mst_storage.S) = struct
       let off = S.get cur (slot + c) in
       if slack = 0 then off
       else
-        let whi = min (off + slack) child_len in
+        let whi = Int.min (off + slack) child_len in
         S.lower_bound below ~lo:(child_base + off) ~hi:(child_base + whi) v - child_base
     end
 
@@ -752,7 +746,7 @@ module Make (S : Mst_storage.S) = struct
       let acc = ref 0 in
       for c = c_first to c_last do
         let child_base = run_base + (c * lc) in
-        let child_len = min lc (run_len - (c * lc)) in
+        let child_len = Int.min lc (run_len - (c * lc)) in
         let cp = child_pos t below cur slot slack less_than c child_base child_len in
         acc :=
           !acc
@@ -770,7 +764,7 @@ module Make (S : Mst_storage.S) = struct
       done;
       for c = c_last + 1 to nc - 1 do
         let child_base = run_base + (c * lc) in
-        let child_len = min lc (run_len - (c * lc)) in
+        let child_len = Int.min lc (run_len - (c * lc)) in
         acc := !acc - child_pos t below cur slot slack less_than c child_base child_len
       done;
       (* the boundary children may be partial *)
@@ -785,7 +779,7 @@ module Make (S : Mst_storage.S) = struct
   and boundary_fix t j run_base run_len lo hi less_than below cur slot slack c =
     let lc = t.stride.(j - 1) in
     let child_base = run_base + (c * lc) in
-    let child_len = min lc (run_len - (c * lc)) in
+    let child_len = Int.min lc (run_len - (c * lc)) in
     if lo <= child_base && child_base + child_len <= hi then 0
     else begin
       let cp = child_pos t below cur slot slack less_than c child_base child_len in
@@ -793,7 +787,7 @@ module Make (S : Mst_storage.S) = struct
     end
 
   let count t ~lo ~hi ~less_than =
-    let lo = max lo 0 and hi = min hi t.n in
+    let lo = Int.max lo 0 and hi = Int.min hi t.n in
     if lo >= hi then 0
     else begin
       let h = Array.length t.levels - 1 in
@@ -816,7 +810,7 @@ module Make (S : Mst_storage.S) = struct
     let slot = cursor_slot t j run_base pos and slack = slack_of t pos in
     for c = 0 to nc - 1 do
       let child_base = run_base + (c * lc) in
-      let child_len = min lc (run_len - (c * lc)) in
+      let child_len = Int.min lc (run_len - (c * lc)) in
       if child_base < hi && child_base + child_len > lo then begin
         let cp = child_pos t below cur slot slack less_than c child_base child_len in
         if lo <= child_base && child_base + child_len <= hi then
@@ -826,7 +820,7 @@ module Make (S : Mst_storage.S) = struct
     done
 
   let iter_covered t ~lo ~hi ~less_than f =
-    let lo = max lo 0 and hi = min hi t.n in
+    let lo = Int.max lo 0 and hi = Int.min hi t.n in
     if lo < hi then begin
       let h = Array.length t.levels - 1 in
       let pos = S.lower_bound t.levels.(h) ~lo:0 ~hi:t.n less_than in
@@ -873,7 +867,7 @@ module Make (S : Mst_storage.S) = struct
       while !searching do
         let child_base = !run_base + (!c * lc) in
         assert (child_base < !run_base + !run_len);
-        let child_len = min lc (!run_len - (!c * lc)) in
+        let child_len = Int.min lc (!run_len - (!c * lc)) in
         let clo = child_pos t below cur slot_lo slack_lo vlo !c child_base child_len in
         let chi = child_pos t below cur slot_hi slack_hi vhi !c child_base child_len in
         if !m < chi - clo then begin
@@ -927,7 +921,7 @@ module Make (S : Mst_storage.S) = struct
       while !searching do
         let child_base = !run_base + (!c * lc) in
         assert (child_base < !run_base + !run_len);
-        let child_len = min lc (!run_len - (!c * lc)) in
+        let child_len = Int.min lc (!run_len - (!c * lc)) in
         let qual = ref 0 in
         for b = 0 to nb - 1 do
           let v = if b land 1 = 0 then fst ranges.(b / 2) else snd ranges.(b / 2) in

@@ -14,14 +14,14 @@ let compute ?pool values =
      the preceding chunk; [key]/[idx] are read-only here and every chunk
      writes disjoint [prev] slots, so chunks are independent. *)
   Task_pool.parallel_for pool ~lo:0 ~hi:n ~chunk:Task_pool.default_task_size (fun lo hi ->
-      for i = max lo 1 to hi - 1 do
+      for i = Int.max lo 1 to hi - 1 do
         if key.(i) = key.(i - 1) then prev.(idx.(i)) <- idx.(i - 1) + 1
       done);
   prev
 
 let distinct_in_frame encoded ~lo ~hi =
   let acc = ref 0 in
-  for i = max lo 0 to min hi (Array.length encoded - 1) do
+  for i = Int.max lo 0 to Int.min hi (Array.length encoded - 1) do
     if encoded.(i) < lo + 1 then incr acc
   done;
   !acc

@@ -23,7 +23,7 @@ let create ?pool ?fanout ?sample keys =
 let length t = Mst.length t.outer
 
 let distinct_below t ~lo ~hi ~key =
-  let lo = max lo 0 and hi = min hi (length t) in
+  let lo = Int.max lo 0 and hi = Int.min hi (length t) in
   if lo >= hi then 0
   else begin
     let acc = ref 0 in

@@ -30,7 +30,7 @@ let of_sorted_permutation ?pool n permutation ~ties =
       let bounds = Array.make nchunks 0 in
       Task_pool.parallel_for pool ~chunk ~lo:0 ~hi:n (fun lo hi ->
           let c = ref 0 in
-          for r = max 1 lo to hi - 1 do
+          for r = Int.max 1 lo to hi - 1 do
             if not (ties permutation.(r - 1) permutation.(r)) then incr c
           done;
           bounds.(lo / chunk) <- !c);
@@ -137,9 +137,9 @@ let extend old n ~cmp ~ties =
 
 let extend_cmp old n ~cmp = extend old n ~cmp ~ties:(fun i j -> cmp i j = 0)
 
-let extend_ints old values =
+let extend_ints old (values : int array) =
   extend old (Array.length values)
-    ~cmp:(fun i j -> compare values.(i) values.(j))
+    ~cmp:(fun i j -> Int.compare values.(i) values.(j))
     ~ties:(fun i j -> values.(i) = values.(j))
 
 let extend_floats ?(desc = false) old values =

@@ -109,8 +109,21 @@ let swap2 (k : int array) (p : int array) i j =
   Array.unsafe_set p i (Array.unsafe_get p j);
   Array.unsafe_set p j t
 
-(* (k1, p1) < (k2, p2) lexicographically *)
-let pair_less k1 p1 k2 p2 = k1 < k2 || (k1 = k2 && p1 < p2)
+(* (k1, p1) < (k2, p2) lexicographically.  Typed and inlined: untyped,
+   [<]/[=] are calls into the generic compare, and an out-of-line call is
+   made twice per element per partition pass. *)
+let[@inline] pair_less (k1 : int) (p1 : int) k2 p2 = k1 < k2 || (k1 = k2 && p1 < p2)
+
+(* Index of the median of positions [a], [b], [c] under [pair_less].  The
+   order test is a top-level function: a local closure over [k] and [p]
+   would be allocated on every call, even when inlined. *)
+let[@inline] le2 (k : int array) (p : int array) i j = not (pair_less k.(j) p.(j) k.(i) p.(i))
+
+let median_index2 k p a b c =
+  if le2 k p a b then if le2 k p b c then b else if le2 k p a c then c else a
+  else if le2 k p a c then a
+  else if le2 k p b c then c
+  else b
 
 let insertion_sort2 (k : int array) (p : int array) lo hi =
   for i = lo + 1 to hi - 1 do
@@ -172,15 +185,7 @@ let rec intro2 (k : int array) (p : int array) lo hi depth =
   if len <= insertion_threshold then insertion_sort2 k p lo hi
   else if depth = 0 then heapsort2 k p lo hi
   else begin
-    let m = lo + (len / 2) in
-    (* median-of-3 on pairs: pick the index of the median *)
-    let a = lo and b = m and c = hi - 1 in
-    let le i j = not (pair_less k.(j) p.(j) k.(i) p.(i)) in
-    let mi = if le a b then if le b c then b else if le a c then c else a
-             else if le a c then a
-             else if le b c then c
-             else b
-    in
+    let mi = median_index2 k p lo (lo + (len / 2)) (hi - 1) in
     let pk = k.(mi) and pp = p.(mi) in
     let lt = ref lo and i = ref lo and gt = ref hi in
     while !i < !gt do
@@ -239,19 +244,30 @@ let insertion_sort2t (k : int array) (p : int array) tie lo hi =
     Array.unsafe_set p (!j + 1) xp
   done
 
+(* position [i] sorts before position [j] *)
+let[@inline] tie_less (k : int array) (p : int array) tie i j =
+  let ki = Array.unsafe_get k i and kj = Array.unsafe_get k j in
+  ki < kj || (ki = kj && tie (Array.unsafe_get p i) (Array.unsafe_get p j) < 0)
+
+let[@inline] le2t k p tie i j = not (tie_less k p tie j i)
+
+let median_index2t k p tie a b c =
+  if le2t k p tie a b then if le2t k p tie b c then b else if le2t k p tie a c then c else a
+  else if le2t k p tie a c then a
+  else if le2t k p tie b c then c
+  else b
+
 let sift_down2t (k : int array) (p : int array) tie lo len root =
-  let less i j =
-    let ki = Array.unsafe_get k i and kj = Array.unsafe_get k j in
-    ki < kj || (ki = kj && tie (Array.unsafe_get p i) (Array.unsafe_get p j) < 0)
-  in
   let root = ref root in
   let continue_ = ref true in
   while !continue_ do
     let child = (2 * !root) + 1 in
     if child >= len then continue_ := false
     else begin
-      let child = if child + 1 < len && less (lo + child) (lo + child + 1) then child + 1 else child in
-      if less (lo + !root) (lo + child) then begin
+      let child =
+        if child + 1 < len && tie_less k p tie (lo + child) (lo + child + 1) then child + 1 else child
+      in
+      if tie_less k p tie (lo + !root) (lo + child) then begin
         swap2 k p (lo + !root) (lo + child);
         root := child
       end
@@ -274,15 +290,7 @@ let rec intro2t (k : int array) (p : int array) tie lo hi depth =
   if len <= insertion_threshold then insertion_sort2t k p tie lo hi
   else if depth = 0 then heapsort2t k p tie lo hi
   else begin
-    let m = lo + (len / 2) in
-    let less i j = k.(i) < k.(j) || (k.(i) = k.(j) && tie p.(i) p.(j) < 0) in
-    let a = lo and b = m and c = hi - 1 in
-    let le i j = not (less j i) in
-    let mi = if le a b then if le b c then b else if le a c then c else a
-             else if le a c then a
-             else if le b c then c
-             else b
-    in
+    let mi = median_index2t k p tie lo (lo + (len / 2)) (hi - 1) in
     let pk = k.(mi) and pp = p.(mi) in
     let lt = ref lo and i = ref lo and gt = ref hi in
     while !i < !gt do
@@ -321,10 +329,19 @@ let swapf (k : float array) (p : int array) i j =
   Array.unsafe_set p i (Array.unsafe_get p j);
   Array.unsafe_set p j t
 
-(* NaN-total lexicographic order: Float.compare sorts NaN below -inf *)
-let fpair_less k1 p1 k2 p2 =
+(* NaN-total lexicographic order: Float.compare sorts NaN below -inf.
+   Inlined so the keys stay unboxed: an out-of-line call boxes both. *)
+let[@inline] fpair_less (k1 : float) (p1 : int) k2 p2 =
   let c = Float.compare k1 k2 in
   c < 0 || (c = 0 && p1 < p2)
+
+let[@inline] lef (k : float array) (p : int array) i j = not (fpair_less k.(j) p.(j) k.(i) p.(i))
+
+let median_indexf k p a b c =
+  if lef k p a b then if lef k p b c then b else if lef k p a c then c else a
+  else if lef k p a c then a
+  else if lef k p b c then c
+  else b
 
 let insertion_sortf (k : float array) (p : int array) lo hi =
   for i = lo + 1 to hi - 1 do
@@ -384,13 +401,7 @@ let rec introf (k : float array) (p : int array) lo hi depth =
   if len <= insertion_threshold then insertion_sortf k p lo hi
   else if depth = 0 then heapsortf k p lo hi
   else begin
-    let b = lo + (len / 2) and c = hi - 1 in
-    let le i j = not (fpair_less k.(j) p.(j) k.(i) p.(i)) in
-    let mi = if le lo b then if le b c then b else if le lo c then c else lo
-             else if le lo c then lo
-             else if le b c then c
-             else b
-    in
+    let mi = median_indexf k p lo (lo + (len / 2)) (hi - 1) in
     let pk = k.(mi) and pp = p.(mi) in
     let lt = ref lo and i = ref lo and gt = ref hi in
     while !i < !gt do
@@ -462,18 +473,20 @@ let heapsort_by a cmp lo hi =
     sift_down_by a cmp lo last 0
   done
 
+let[@inline] le_by (a : int array) cmp x y = cmp (Array.unsafe_get a x) (Array.unsafe_get a y) <= 0
+
+let median_index_by a cmp i j k =
+  if le_by a cmp i j then if le_by a cmp j k then j else if le_by a cmp i k then k else i
+  else if le_by a cmp i k then i
+  else if le_by a cmp j k then k
+  else j
+
 let rec intro_by (a : int array) cmp lo hi depth =
   let len = hi - lo in
   if len <= insertion_threshold then insertion_sort_by a cmp lo hi
   else if depth = 0 then heapsort_by a cmp lo hi
   else begin
-    let b = lo + (len / 2) and c = hi - 1 in
-    let le i j = cmp a.(i) a.(j) <= 0 in
-    let mi = if le lo b then if le b c then b else if le lo c then c else lo
-             else if le lo c then lo
-             else if le b c then c
-             else b
-    in
+    let mi = median_index_by a cmp lo (lo + (len / 2)) (hi - 1) in
     let p = a.(mi) in
     let lt = ref lo and i = ref lo and gt = ref hi in
     while !i < !gt do
@@ -504,7 +517,7 @@ let sort_indices_by n ~cmp =
   let idx = Array.init n (fun i -> i) in
   let stable_cmp i j =
     let c = cmp i j in
-    if c <> 0 then c else compare i j
+    if c <> 0 then c else Int.compare i j
   in
   sort_by idx ~cmp:stable_cmp;
   idx

@@ -31,9 +31,9 @@ val sort_pairs_tie_range :
     be deterministic. *)
 
 val sort_float_pairs : key:float array -> payload:int array -> unit
-(** {!sort_pairs} for float keys (ascending, NaNs sorted last via
-    [Float.compare] semantics, ties broken by payload): the unboxed fast
-    path for single-float-column ORDER BY preprocessing. *)
+(** {!sort_pairs} for float keys (ascending in [Float.compare]'s order, so
+    NaNs first and [-0.0] tied with [0.0]; ties broken by payload): the
+    unboxed fast path for single-float-column ORDER BY preprocessing. *)
 
 val sort_by : int array -> cmp:(int -> int -> int) -> unit
 (** Sorts the array's elements by an arbitrary total order on elements. Used

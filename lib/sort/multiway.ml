@@ -336,7 +336,7 @@ type source = {
 
 let make_source ~nwords ~buf_entries ~refill ~close =
   if nwords < 1 then invalid_arg "Multiway.make_source: nwords must be >= 1";
-  let buf_entries = max 1 buf_entries in
+  let buf_entries = Int.max 1 buf_entries in
   let s =
     {
       s_nwords = nwords;
@@ -360,7 +360,7 @@ let source_of_run ~mw { lo; hi } =
   let pos = ref lo in
   let refill buf =
     let cap = Array.length buf / stride in
-    let m = min cap (hi - !pos) in
+    let m = Int.min cap (hi - !pos) in
     for e = 0 to m - 1 do
       let p = !pos + e in
       let base = e * stride in
@@ -641,7 +641,10 @@ let split_at_rank ~src ~runs ~rank =
       Array.iter (fun { lo; hi } -> acc := !acc + Bs.upper_bound src ~lo ~hi v - lo) runs;
       !acc
     in
-    let mid lo hi = (lo / 2) + (hi / 2) + (lo land hi land 1) in
+    (* floor((lo + hi) / 2) without overflow: [asr] rounds down, where
+       [/] rounds negative halves up and could return [hi], which never
+       shrinks the interval *)
+    let mid lo hi = (lo asr 1) + (hi asr 1) + (lo land hi land 1) in
     let lo = ref !vmin and hi = ref !vmax in
     while !lo < !hi do
       let m = mid !lo !hi in
@@ -657,7 +660,7 @@ let split_at_rank ~src ~runs ~rank =
       let { lo; hi } = runs.(r) in
       let first_eq = Bs.lower_bound src ~lo ~hi v in
       let past_eq = Bs.upper_bound src ~lo ~hi v in
-      let take = min !remaining (past_eq - first_eq) in
+      let take = Int.min !remaining (past_eq - first_eq) in
       cuts.(r) <- first_eq + take;
       remaining := !remaining - take
     done;

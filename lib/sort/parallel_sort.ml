@@ -17,7 +17,7 @@ let sort_runs pool ?(task_size = Task_pool.default_task_size) ~key ~payload () =
   let nruns = if n = 0 then 0 else ((n - 1) / task_size) + 1 in
   let runs =
     Array.init nruns (fun r ->
-        { Multiway.lo = r * task_size; hi = min n ((r + 1) * task_size) })
+        { Multiway.lo = r * task_size; hi = Int.min n ((r + 1) * task_size) })
   in
   Obs.span "sort.runs"
     ~args:(fun () -> [ ("n", string_of_int n); ("runs", string_of_int nruns) ])
@@ -41,7 +41,7 @@ let merge_runs pool ~key ~payload ~runs =
     note_scratch total;
     let scratch_key = Array.make total 0 in
     let scratch_payload = Array.make total 0 in
-    let segments = max 1 (Task_pool.size pool) in
+    let segments = Int.max 1 (Task_pool.size pool) in
     let rank_of s = s * total / segments in
     let cuts = Array.init (segments + 1) (fun s -> Multiway.split_at_rank ~src:key ~runs ~rank:(rank_of s)) in
     let tasks = ref [] in
@@ -59,7 +59,7 @@ let merge_runs pool ~key ~payload ~runs =
     done;
     Task_pool.run_list pool !tasks;
     (* Copy the merged result back, in parallel chunks. *)
-    Task_pool.parallel_for pool ~lo:0 ~hi:total ~chunk:(max 1 (total / (4 * segments)))
+    Task_pool.parallel_for pool ~lo:0 ~hi:total ~chunk:(Int.max 1 (total / (4 * segments)))
       (fun lo hi ->
         Array.blit scratch_key lo key lo (hi - lo);
         Array.blit scratch_payload lo payload lo (hi - lo))
@@ -74,7 +74,7 @@ let sort_pairs pool ~key ~payload =
    merge pass over the data for nothing, so default to one run there. *)
 let effective_task_size pool n = function
   | Some t -> t
-  | None -> if Task_pool.size pool = 1 then max n 1 else Task_pool.default_task_size
+  | None -> if Task_pool.size pool = 1 then Int.max n 1 else Task_pool.default_task_size
 
 let sort_multiword pool ?task_size ~mw () =
   let key0 = mw.Multiway.key0 and payload = mw.Multiway.payload in
@@ -84,7 +84,7 @@ let sort_multiword pool ?task_size ~mw () =
   let tie = Multiway.deep_compare mw in
   let nruns = if n = 0 then 0 else ((n - 1) / task_size) + 1 in
   let runs =
-    Array.init nruns (fun r -> { Multiway.lo = r * task_size; hi = min n ((r + 1) * task_size) })
+    Array.init nruns (fun r -> { Multiway.lo = r * task_size; hi = Int.min n ((r + 1) * task_size) })
   in
   Obs.span "sort.runs"
     ~args:(fun () -> [ ("n", string_of_int n); ("runs", string_of_int nruns) ])
@@ -103,7 +103,7 @@ let sort_multiword pool ?task_size ~mw () =
     note_scratch n;
     let scratch_key = Array.make n 0 in
     let scratch_payload = Array.make n 0 in
-    let segments = max 1 (Task_pool.size pool) in
+    let segments = Int.max 1 (Task_pool.size pool) in
     let rank_of s = s * n / segments in
     let cmp = Multiway.compare_positions mw in
     let less i j = cmp i j < 0 in
@@ -124,7 +124,7 @@ let sort_multiword pool ?task_size ~mw () =
         :: !tasks
     done;
     Task_pool.run_list pool !tasks;
-    Task_pool.parallel_for pool ~lo:0 ~hi:n ~chunk:(max 1 (n / (4 * segments)))
+    Task_pool.parallel_for pool ~lo:0 ~hi:n ~chunk:(Int.max 1 (n / (4 * segments)))
       (fun lo hi ->
         Array.blit scratch_key lo key0 lo (hi - lo);
         Array.blit scratch_payload lo payload lo (hi - lo))
@@ -174,7 +174,7 @@ let sort_encoded_spill ~n ~words ?tie ~run_rows ~read_entries ~dir ?on_key0 ?aft
   Array.iter
     (fun w -> if Array.length w <> n then invalid_arg "Parallel_sort.sort_encoded_spill: word length")
     words;
-  let run_rows = max 1 (min run_rows (max 1 n)) in
+  let run_rows = Int.max 1 (Int.min run_rows (Int.max 1 n)) in
   let nruns = if n = 0 then 0 else ((n - 1) / run_rows) + 1 in
   let deep = Array.sub words 1 (nwords - 1) in
   (* the run-local sort order below the leading word: trailing words (row
@@ -205,13 +205,13 @@ let sort_encoded_spill ~n ~words ?tie ~run_rows ~read_entries ~dir ?on_key0 ?aft
         ("spilled", Printf.sprintf "(runs=%d, %s)" nruns (Obs.human_bytes !total_bytes));
       ])
     (fun () ->
-      let chunk = min run_rows (max 1 n) in
+      let chunk = Int.min run_rows (Int.max 1 n) in
       let ckey = Array.make chunk 0 in
       let cpay = Array.make chunk 0 in
       let entry = Array.make nwords 0 in
       for r = 0 to nruns - 1 do
         let lo = r * run_rows in
-        let hi = min n (lo + run_rows) in
+        let hi = Int.min n (lo + run_rows) in
         let m = hi - lo in
         for i = 0 to m - 1 do
           ckey.(i) <- words.(0).(lo + i);
@@ -253,7 +253,7 @@ let sort_encoded_spill ~n ~words ?tie ~run_rows ~read_entries ~dir ?on_key0 ?aft
         Array.map
           (fun f ->
             let rd = Run_file.open_reader f in
-            Multiway.make_source ~nwords ~buf_entries:(max 1 read_entries)
+            Multiway.make_source ~nwords ~buf_entries:(Int.max 1 read_entries)
               ~refill:(fun buf -> Run_file.read rd ~buf)
               ~close:(fun () -> Run_file.close_reader rd))
           file_arr;

@@ -70,6 +70,44 @@ let fast_key table spec =
     end
   | _ -> None
 
+(* The plain-column arm of [fast_comparator]: the keys [fast_key] matches
+   compare their raw array.  [Float.compare] is what
+   [Value.compare_non_null] does on two floats (NaN lowest and equal to
+   itself, -0.0 = 0.0), and DESC swaps the arguments, which is the same
+   sign as negating the result. *)
+let plain_key_comparator table key =
+  match fast_key table [ key ] with
+  | Some (Int_key (a, desc)) ->
+      Some (if desc then fun i j -> Int.compare a.(j) a.(i) else fun i j -> Int.compare a.(i) a.(j))
+  | Some (Float_key (a, desc)) ->
+      Some
+        (if desc then fun i j -> Float.compare a.(j) a.(i)
+         else fun i j -> Float.compare a.(i) a.(j))
+  | None -> None
+
+let fast_comparator table spec =
+  let keys =
+    List.map
+      (fun key ->
+        match plain_key_comparator table key with
+        | Some cmp -> cmp
+        | None -> key_comparator table key)
+      spec
+  in
+  match keys with
+  | [] -> fun _ _ -> 0
+  | [ cmp ] -> cmp
+  | keys ->
+      let keys = Array.of_list keys in
+      let nkeys = Array.length keys in
+      fun i j ->
+        let c = ref 0 and k = ref 0 in
+        while !c = 0 && !k < nkeys do
+          c := keys.(!k) i j;
+          incr k
+        done;
+        !c
+
 let single_int_key table spec =
   match spec with
   | [ { expr = Expr.Col name; direction = Asc; nulls = _ } ] -> begin

@@ -34,6 +34,18 @@ val key_comparator : Table.t -> key -> int -> int -> int
     sort pipelines (the key codec's residual) can mix keys resolved against
     different tables. *)
 
+val plain_key_comparator : Table.t -> key -> (int -> int -> int) option
+(** When the key is a plain NULL-free Ints, Dates or Floats column, a
+    comparator on its raw array ([Int.compare] or [Float.compare], the
+    arguments swapped for DESC) with the same sign as {!key_comparator};
+    [None] for any other key. *)
+
+val fast_comparator : Table.t -> t -> int -> int -> int
+(** {!comparator}'s sign on every pair of rows, for the engine's own sorts
+    and peer scans: plain-column keys ({!plain_key_comparator}) compare raw
+    arrays with no boxed value per comparison, and any other key uses
+    {!key_comparator}. *)
+
 val single_int_key : Table.t -> t -> int array option
 (** When the spec is a single ascending, plain integer-kinded column
     without NULLs, its raw key array — the fast path that skips

@@ -114,7 +114,9 @@ let qualify ctx (qual : Build_cache.qual) =
 let effective_order ctx spec = if spec = [] then ctx.window_order else spec
 
 (* Integer preprocessing of an ORDER BY over the partition (§5.1 Fig. 8),
-   with unboxed fast paths for single plain-column keys. Memoized on the
+   with unboxed fast paths for single plain-column keys; every other
+   ORDER BY (a DESC int key included) sorts with [Sort_spec.fast_comparator],
+   which compares plain-column keys on their raw arrays. Memoized on the
    effective ORDER BY: rank + percent_rank + median over one named window
    encode once. *)
 let encode ctx order =
@@ -131,13 +133,10 @@ let encode ctx order =
       match Sort_spec.fast_key ctx.table order with
       | Some (Sort_spec.Int_key (keys, false)) ->
           Rank_encode.extend_ints old (Array.map (fun row -> keys.(row)) ctx.rows)
-      | Some (Sort_spec.Int_key (keys, true)) ->
-          Rank_encode.extend_cmp old n ~cmp:(fun i j ->
-              compare keys.(ctx.rows.(j)) keys.(ctx.rows.(i)))
       | Some (Sort_spec.Float_key (keys, desc)) ->
           Rank_encode.extend_floats ~desc old (Array.map (fun row -> keys.(row)) ctx.rows)
-      | None ->
-          let cmp_rows = Sort_spec.comparator ctx.table order in
+      | Some (Sort_spec.Int_key (_, true)) | None ->
+          let cmp_rows = Sort_spec.fast_comparator ctx.table order in
           Rank_encode.extend_cmp old n ~cmp:(fun i j -> cmp_rows ctx.rows.(i) ctx.rows.(j))
     in
     Option.map (fun enc -> (enc, grown)) ext
@@ -147,13 +146,10 @@ let encode ctx order =
       match Sort_spec.fast_key ctx.table order with
       | Some (Sort_spec.Int_key (keys, false)) ->
           Rank_encode.of_ints ~pool:ctx.pool (Array.map (fun row -> keys.(row)) ctx.rows)
-      | Some (Sort_spec.Int_key (keys, true)) ->
-          Rank_encode.of_cmp ~pool:ctx.pool n ~cmp:(fun i j ->
-              compare keys.(ctx.rows.(j)) keys.(ctx.rows.(i)))
       | Some (Sort_spec.Float_key (keys, desc)) ->
           Rank_encode.of_floats ~pool:ctx.pool ~desc (Array.map (fun row -> keys.(row)) ctx.rows)
-      | None ->
-          let cmp_rows = Sort_spec.comparator ctx.table order in
+      | Some (Sort_spec.Int_key (_, true)) | None ->
+          let cmp_rows = Sort_spec.fast_comparator ctx.table order in
           Rank_encode.of_cmp ~pool:ctx.pool n ~cmp:(fun i j -> cmp_rows ctx.rows.(i) ctx.rows.(j)))
 
 let mapped_ranges ctx rm r = Remap.map_ranges rm (Frame.ranges ctx.frame r)

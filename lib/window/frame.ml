@@ -35,7 +35,7 @@ let peers table order_by rows =
     (peer_start, peer_end)
   end
   else begin
-    let cmp = Sort_spec.comparator table order_by in
+    let cmp = Sort_spec.fast_comparator table order_by in
     let gstart = ref 0 in
     for r = 1 to np do
       if r = np || cmp rows.(r - 1) rows.(r) <> 0 then begin
@@ -49,11 +49,26 @@ let peers table order_by rows =
     (peer_start, peer_end)
   end
 
-let eval_offset table expr row =
-  match Expr.eval table expr row with
-  | Value.Int k when k >= 0 -> k
-  | Value.Int _ -> invalid_arg "Frame: negative frame offset"
-  | _ -> invalid_arg "Frame: ROWS/GROUPS offsets must be non-negative integers"
+(* A bound's offset expression is compiled once per [compute], not once per
+   row: a per-row [Expr.eval] recompiles it, column lookup by name
+   included.  Bounds without an offset never call the result. *)
+let rows_offset table = function
+  | Preceding e | Following e ->
+      let f = Expr.compile table e in
+      fun row ->
+        (match f row with
+        | Value.Int k when k >= 0 -> k
+        | Value.Int _ -> invalid_arg "Frame: negative frame offset"
+        | _ -> invalid_arg "Frame: ROWS/GROUPS offsets must be non-negative integers")
+  | Unbounded_preceding | Current_row | Unbounded_following -> fun _ -> 0
+
+let range_offset table = function
+  | Preceding e | Following e ->
+      let f = Expr.compile table e in
+      fun row ->
+        let v = f row in
+        if Value.is_null v then invalid_arg "Frame: NULL RANGE offset" else v
+  | Unbounded_preceding | Current_row | Unbounded_following -> fun _ -> Value.Null
 
 let compute ?peers:precomputed table ~spec ~rows =
   let np = Array.length rows in
@@ -67,27 +82,35 @@ let compute ?peers:precomputed table ~spec ~rows =
         if spec.order_by = [] then Window_spec.whole_partition
         else range_between Unbounded_preceding Current_row
   in
+  (* compiled only for a non-empty partition, as the per-row evaluation
+     they replace never ran on an empty one *)
+  let compile_bounds compile =
+    if np = 0 then (compile table Current_row, compile table Current_row)
+    else (compile table frame.start_bound, compile table frame.end_bound)
+  in
   let start_ = Array.make np 0 and end_ = Array.make np 0 in
   (match frame.mode with
   | Rows ->
+      let start_off, end_off = compile_bounds rows_offset in
       for r = 0 to np - 1 do
         let row = rows.(r) in
         start_.(r) <-
           (match frame.start_bound with
           | Unbounded_preceding -> 0
-          | Preceding e -> r - eval_offset table e row
+          | Preceding _ -> r - start_off row
           | Current_row -> r
-          | Following e -> r + eval_offset table e row
+          | Following _ -> r + start_off row
           | Unbounded_following -> np);
         end_.(r) <-
           (match frame.end_bound with
           | Unbounded_preceding -> 0
-          | Preceding e -> r - eval_offset table e row + 1
+          | Preceding _ -> r - end_off row + 1
           | Current_row -> r + 1
-          | Following e -> r + eval_offset table e row + 1
+          | Following _ -> r + end_off row + 1
           | Unbounded_following -> np)
       done
   | Groups ->
+      let start_off, end_off = compile_bounds rows_offset in
       (* group index per row plus group boundary tables *)
       let gidx = Array.make np 0 in
       let code = ref 0 in
@@ -96,7 +119,7 @@ let compute ?peers:precomputed table ~spec ~rows =
         gidx.(r) <- !code
       done;
       let ngroups = if np = 0 then 0 else !code + 1 in
-      let gstarts = Array.make (max ngroups 1) 0 and gends = Array.make (max ngroups 1) 0 in
+      let gstarts = Array.make (Int.max ngroups 1) 0 and gends = Array.make (Int.max ngroups 1) 0 in
       for r = 0 to np - 1 do
         gstarts.(gidx.(r)) <- peer_start.(r);
         gends.(gidx.(r)) <- peer_end.(r)
@@ -107,23 +130,23 @@ let compute ?peers:precomputed table ~spec ~rows =
         start_.(r) <-
           (match frame.start_bound with
           | Unbounded_preceding -> 0
-          | Preceding e ->
-              let k = eval_offset table e row in
+          | Preceding _ ->
+              let k = start_off row in
               if g - k < 0 then 0 else gstarts.(g - k)
           | Current_row -> peer_start.(r)
-          | Following e ->
-              let k = eval_offset table e row in
+          | Following _ ->
+              let k = start_off row in
               if g + k >= ngroups then np else gstarts.(g + k)
           | Unbounded_following -> np);
         end_.(r) <-
           (match frame.end_bound with
           | Unbounded_preceding -> 0
-          | Preceding e ->
-              let k = eval_offset table e row in
+          | Preceding _ ->
+              let k = end_off row in
               if g - k < 0 then 0 else gends.(g - k)
           | Current_row -> peer_end.(r)
-          | Following e ->
-              let k = eval_offset table e row in
+          | Following _ ->
+              let k = end_off row in
               if g + k >= ngroups then np else gends.(g + k)
           | Unbounded_following -> np)
       done
@@ -142,7 +165,7 @@ let compute ?peers:precomputed table ~spec ~rows =
         invalid_arg "Frame: RANGE with offsets requires exactly one ORDER BY key";
       (* Key values in partition order; NULL rows occupy a contiguous region
          at one end (by the sort), and offset bounds give them their null
-         peer group. *)
+         peer group.  Without a key every row reads as NULL. *)
       let vals, nulls_first, desc =
         match key with
         | None -> ([||], false, false)
@@ -160,11 +183,11 @@ let compute ?peers:precomputed table ~spec ~rows =
       in
       (* non-null region [nn_lo, nn_hi) *)
       let nn_lo, nn_hi =
-        if vals = [||] then (0, np)
-        else begin
-          let nnulls = Array.fold_left (fun acc v -> if Value.is_null v then acc + 1 else acc) 0 vals in
-          if nulls_first then (nnulls, np) else (0, np - nnulls)
-        end
+        match key with
+        | None -> (0, np)
+        | Some _ ->
+            let nnulls = Array.fold_left (fun acc v -> if Value.is_null v then acc + 1 else acc) 0 vals in
+            if nulls_first then (nnulls, np) else (0, np - nnulls)
       in
       let cmpv a b = Value.compare_sql ~nulls_last:true a b in
       (* first non-null position whose key is >= target in frame order
@@ -181,10 +204,7 @@ let compute ?peers:precomputed table ~spec ~rows =
           (fun p -> if desc then cmpv vals.(p) target < 0 else cmpv vals.(p) target > 0)
           ~lo:nn_lo ~hi:nn_hi
       in
-      let delta e row =
-        let v = Expr.eval table e row in
-        if Value.is_null v then invalid_arg "Frame: NULL RANGE offset" else v
-      in
+      let start_delta, end_delta = compile_bounds range_offset in
       (* target value for "offset before / after the current value" in frame
          direction: preceding moves against the direction. *)
       let shifted v d ~towards_preceding =
@@ -193,36 +213,36 @@ let compute ?peers:precomputed table ~spec ~rows =
       in
       for r = 0 to np - 1 do
         let row = rows.(r) in
-        let v = if vals = [||] then Value.Null else vals.(r) in
+        let v = match key with None -> Value.Null | Some _ -> vals.(r) in
         let is_null = Value.is_null v in
         start_.(r) <-
           (match frame.start_bound with
           | Unbounded_preceding -> 0
           | Current_row -> peer_start.(r)
-          | Preceding e ->
+          | Preceding _ ->
               if is_null then peer_start.(r)
-              else first_geq (shifted v (delta e row) ~towards_preceding:true)
-          | Following e ->
+              else first_geq (shifted v (start_delta row) ~towards_preceding:true)
+          | Following _ ->
               if is_null then peer_start.(r)
-              else first_geq (shifted v (delta e row) ~towards_preceding:false)
+              else first_geq (shifted v (start_delta row) ~towards_preceding:false)
           | Unbounded_following -> np);
         end_.(r) <-
           (match frame.end_bound with
           | Unbounded_preceding -> 0
           | Current_row -> peer_end.(r)
-          | Preceding e ->
+          | Preceding _ ->
               if is_null then peer_end.(r)
-              else past_leq (shifted v (delta e row) ~towards_preceding:true)
-          | Following e ->
+              else past_leq (shifted v (end_delta row) ~towards_preceding:true)
+          | Following _ ->
               if is_null then peer_end.(r)
-              else past_leq (shifted v (delta e row) ~towards_preceding:false)
+              else past_leq (shifted v (end_delta row) ~towards_preceding:false)
           | Unbounded_following -> np)
       done);
   (* clamp and normalise *)
   for r = 0 to np - 1 do
-    start_.(r) <- max 0 (min start_.(r) np);
-    end_.(r) <- max 0 (min end_.(r) np);
-    if end_.(r) < start_.(r) then end_.(r) <- start_.(r)
+    let s = Int.max 0 (Int.min start_.(r) np) and e = Int.max 0 (Int.min end_.(r) np) in
+    start_.(r) <- s;
+    end_.(r) <- (if e < s then s else e)
   done;
   { np; start_; end_; peer_start; peer_end; exclusion = frame.exclusion }
 
@@ -241,7 +261,7 @@ let ranges t r =
     let holes =
       List.filter_map
         (fun (a, b) ->
-          let a = max a s and b = min b e in
+          let a = Int.max a s and b = Int.min b e in
           if a < b then Some (a, b) else None)
         holes
     in
@@ -250,7 +270,7 @@ let ranges t r =
     List.iter
       (fun (a, b) ->
         if a > !pos then pieces := (!pos, a) :: !pieces;
-        pos := max !pos b)
+        pos := Int.max !pos b)
       holes;
     if !pos < e then pieces := (!pos, e) :: !pieces;
     Array.of_list (List.rev !pieces)

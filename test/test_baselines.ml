@@ -286,6 +286,29 @@ let test_naive_multi_range () =
   Alcotest.(check int) "distinct" 4 (Naive.distinct_count a ~ranges);
   Alcotest.(check int) "distinct below" 2 (Naive.distinct_below a ~ranges ~key:7)
 
+(* Minor-heap words allocated while [f] runs.  [f] itself is allocated by
+   the caller, before the first reading. *)
+let minor_words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_naive_scans_allocate_nothing () =
+  let rng = Rng.create 21 in
+  let n = 10_000 in
+  let a = Array.init n (fun _ -> Rng.int rng 1000) in
+  let scratch = Array.make n 0 in
+  let ranges = [| (0, 3000); (3500, 7000); (7100, n) |] in
+  let covered = List.concat_map (fun (lo, hi) -> List.init (hi - lo) (fun i -> a.(lo + i))) (Array.to_list ranges) in
+  let count = ref 0 and kth = ref 0 in
+  let words = minor_words_during (fun () -> count := Naive.count_less a ~ranges ~less_than:500) in
+  Alcotest.(check int) "count_less result" (List.length (List.filter (fun v -> v < 500) covered)) !count;
+  Alcotest.(check (float 0.)) "count_less allocates nothing" 0. words;
+  let k = List.length covered / 2 in
+  let words = minor_words_during (fun () -> kth := Naive.select_kth a ~scratch ~ranges ~k) in
+  Alcotest.(check int) "select_kth result" (List.nth (List.sort Int.compare covered) k) !kth;
+  Alcotest.(check (float 0.)) "select_kth allocates nothing" 0. words
+
 let () =
   Alcotest.run "baselines"
     [
@@ -315,5 +338,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest quickselect_oracle;
           Alcotest.test_case "multi-range helpers" `Quick test_naive_multi_range;
+          Alcotest.test_case "scans allocate nothing" `Quick test_naive_scans_allocate_nothing;
         ] );
     ]

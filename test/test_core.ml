@@ -306,10 +306,16 @@ let rank_encode_oracle =
       let n = Array.length a in
       let enc = Rank_encode.of_ints a in
       let enc2 = Rank_encode.of_cmp n ~cmp:(fun i j -> compare a.(i) a.(j)) in
+      (* distinct values below [a.(i)] = the index of [a.(i)] among the
+         sorted distinct values (a lower-bound search) *)
+      let distinct = Array.of_list (List.sort_uniq compare (Array.to_list a)) in
       let groups_below i =
-        let s = ref IS.empty in
-        Array.iter (fun v -> if v < a.(i) then s := IS.add v !s) a;
-        IS.cardinal !s
+        let lo = ref 0 and hi = ref (Array.length distinct) in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if distinct.(mid) < a.(i) then lo := mid + 1 else hi := mid
+        done;
+        !lo
       in
       enc.Rank_encode.rank_codes = enc2.Rank_encode.rank_codes
       && enc.Rank_encode.row_codes = enc2.Rank_encode.row_codes

@@ -69,6 +69,20 @@ let mk_table rng n =
       );
       ("b", col ?nulls:(null_mask rng n 6) (Column.Bools (Array.init n (fun _ -> Rng.bool rng))));
       ("d", col (Column.Dates (Array.init n (fun _ -> Rng.int rng 50))));
+      (* NULL-free ints and floats (NaN, -0./0., infinities included): the
+         engine comparator's raw-array keys *)
+      ( "ni",
+        col
+          (Column.Ints
+             (Array.init n (fun _ ->
+                  if Rng.int rng 3 = 0 then extreme_ints.(Rng.int rng (Array.length extreme_ints))
+                  else Rng.int_in rng (-20) 20))) );
+      ( "nf",
+        col
+          (Column.Floats
+             (Array.init n (fun _ ->
+                  if Rng.int rng 2 = 0 then special_floats.(Rng.int rng (Array.length special_floats))
+                  else float_of_int (Rng.int_in rng (-4) 4)))) );
     ]
 
 let key_exprs =
@@ -79,6 +93,8 @@ let key_exprs =
     Expr.Col "s";
     Expr.Col "b";
     Expr.Col "d";
+    Expr.Col "ni";
+    Expr.Col "nf";
     (* expression keys: compiled through [Expr.compile], not the column
        fast paths *)
     Expr.Add (Expr.Col "i", Expr.Const (Value.Int 2));
@@ -119,6 +135,50 @@ let expected_perm ?pids table spec =
   in
   Introsort.sort_indices_by (Table.nrows table) ~cmp
 
+(* The engine comparator ([Sort_spec.fast_comparator]) must give
+   [Sort_spec.comparator]'s sign on every pair — checked on the neighbours
+   of the reference order (where ties live) and on random pairs — and
+   must compare raw arrays exactly for plain NULL-free Int/Date/Float
+   columns: NULL-bearing, string, bool and expression keys take the boxed
+   path. *)
+let check_fast_comparator table spec ~perm label =
+  List.iter
+    (fun key ->
+      let plain =
+        match key.Sort_spec.expr with
+        | Expr.Col name -> begin
+            let c = Table.column table name in
+            Column.null_mask c = None
+            &&
+            match Column.data c with
+            | Column.Ints _ | Column.Dates _ | Column.Floats _ -> true
+            | Column.Strings _ | Column.Bools _ -> false
+          end
+        | _ -> false
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s takes the %s path" label (Sort_spec.key_to_string key)
+           (if plain then "raw-array" else "boxed"))
+        plain
+        (Option.is_some (Sort_spec.plain_key_comparator table key)))
+    spec;
+  let n = Table.nrows table in
+  let fast = Sort_spec.fast_comparator table spec and slow = Sort_spec.comparator table spec in
+  let check i j =
+    let sign c = Int.compare c 0 in
+    if sign (fast i j) <> sign (slow i j) then
+      Alcotest.failf "%s: fast_comparator sign differs on rows %d, %d (%d vs %d)" label i j
+        (fast i j) (slow i j)
+  in
+  for k = 1 to n - 1 do
+    check perm.(k - 1) perm.(k);
+    check perm.(k) perm.(k - 1)
+  done;
+  let rng = Rng.create n in
+  for _ = 1 to 4 * n do
+    check (Rng.int rng n) (Rng.int rng n)
+  done
+
 let check_parity pool ~task_size ?pids table spec label =
   let n = Table.nrows table in
   let kc = Key_codec.compile ?pids table spec in
@@ -135,7 +195,8 @@ let check_parity pool ~task_size ?pids table spec label =
     done;
   (* the compiled comparator must induce the same total order *)
   let perm' = Introsort.sort_indices_by n ~cmp:(Key_codec.comparator kc) in
-  Alcotest.(check (array int)) (label ^ ": Key_codec.comparator parity") expect perm'
+  Alcotest.(check (array int)) (label ^ ": Key_codec.comparator parity") expect perm';
+  check_fast_comparator table spec ~perm:expect label
 
 (* ------------------------------------------------------------------ *)
 (* Tests                                                               *)
@@ -182,7 +243,7 @@ let test_single_key_dimensions () =
               ("asc", fun ~nulls e -> Sort_spec.asc ~nulls e);
               ("desc", fun ~nulls e -> Sort_spec.desc ~nulls e);
             ])
-        [ "i"; "j"; "f"; "s"; "b"; "d" ])
+        [ "i"; "j"; "f"; "s"; "b"; "d"; "ni"; "nf" ])
 
 let test_stability () =
   (* heavy duplication: every row of a 4-value key column ties massively;

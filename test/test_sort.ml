@@ -66,6 +66,150 @@ let pair_sort_stability =
       List.combine (Array.to_list key) (Array.to_list payload)
       = List.map (fun (v, i) -> (v, i)) expect)
 
+(* ------------------------------------------------------------------ *)
+(* Typed pair kernels: List.sort parity on adversarial shapes, and no  *)
+(* allocation                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let kernel_sizes = [ 0; 1; 2; 5; 24; 25; 100; 1000; 10_000 ]
+
+let int_shapes rng n =
+  [
+    ("random", Array.init n (fun _ -> Rng.int rng 1_000_000));
+    ("duplicate-heavy", Array.init n (fun _ -> Rng.int rng 3));
+    ("all equal", Array.make n 7);
+    ("sorted", Array.init n (fun i -> i / 2));
+    ("reversed", Array.init n (fun i -> n - i));
+    ("organ pipe", Array.init n (fun i -> if i < n / 2 then i else n - i));
+    ("extremes", Array.init n (fun i -> match i mod 3 with 0 -> min_int | 1 -> max_int | _ -> 0));
+  ]
+
+let float_shapes rng n =
+  let special = [| Float.nan; 0.0; -0.0; 1.5; -1.5; infinity; neg_infinity; -.Float.nan |] in
+  [
+    ("random", Array.init n (fun _ -> Rng.float rng 2.0 -. 1.0));
+    ("specials", Array.init n (fun _ -> special.(Rng.int rng (Array.length special))));
+    ("signed zeros", Array.init n (fun i -> if i land 1 = 0 then 0.0 else -0.0));
+    ("sorted", Array.init n (fun i -> float_of_int (i / 3)));
+    ("reversed with NaN", Array.init n (fun i -> if i mod 7 = 0 then Float.nan else float_of_int (n - i)));
+  ]
+
+(* payloads: a shuffled permutation, so key ties are broken by values
+   unrelated to position *)
+let shuffled_ids rng n =
+  let p = Array.init n (fun i -> i) in
+  for i = n - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let t = p.(i) in
+    p.(i) <- p.(j);
+    p.(j) <- t
+  done;
+  p
+
+let pairs_oracle cmp key payload =
+  List.sort cmp (List.combine (Array.to_list key) (Array.to_list payload))
+
+let test_sort_pairs_kernel () =
+  let rng = Rng.create 11 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (shape, key) ->
+          let payload = shuffled_ids rng n in
+          let expect =
+            pairs_oracle
+              (fun (k1, p1) (k2, p2) ->
+                let c = Int.compare k1 k2 in
+                if c <> 0 then c else Int.compare p1 p2)
+              key payload
+          in
+          Introsort.sort_pairs ~key ~payload;
+          Alcotest.(check (list (pair int int)))
+            (Printf.sprintf "%s, n=%d" shape n)
+            expect
+            (List.combine (Array.to_list key) (Array.to_list payload)))
+        (int_shapes rng n))
+    kernel_sizes
+
+let test_sort_float_pairs_kernel () =
+  let rng = Rng.create 12 in
+  (* keys compared by bits: NaN and the sign of zero must travel with
+     their payload *)
+  let bits (k, p) = (Int64.bits_of_float k, p) in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (shape, key) ->
+          let payload = shuffled_ids rng n in
+          let expect =
+            pairs_oracle
+              (fun (k1, p1) (k2, p2) ->
+                let c = Float.compare k1 k2 in
+                if c <> 0 then c else Int.compare p1 p2)
+              key payload
+          in
+          Introsort.sort_float_pairs ~key ~payload;
+          Alcotest.(check (list (pair int64 int)))
+            (Printf.sprintf "%s, n=%d" shape n)
+            (List.map bits expect)
+            (List.map bits (List.combine (Array.to_list key) (Array.to_list payload))))
+        (float_shapes rng n))
+    kernel_sizes
+
+let test_sort_pairs_tie_range_kernel () =
+  let rng = Rng.create 13 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (shape, key) ->
+          let payload = shuffled_ids rng n in
+          (* a second key word per row id, ending in the row id itself *)
+          let deep = Array.init n (fun _ -> Rng.int rng 4) in
+          let tie a b =
+            let c = Int.compare deep.(a) deep.(b) in
+            if c <> 0 then c else Int.compare a b
+          in
+          let lo = n / 5 and hi = n - (n / 7) in
+          let sub a = Array.sub a lo (hi - lo) in
+          let expect =
+            pairs_oracle
+              (fun (k1, p1) (k2, p2) ->
+                let c = Int.compare k1 k2 in
+                if c <> 0 then c else tie p1 p2)
+              (sub key) (sub payload)
+          in
+          let key0 = Array.copy key and payload0 = Array.copy payload in
+          Introsort.sort_pairs_tie_range ~key ~payload ~tie ~lo ~hi;
+          let name = Printf.sprintf "%s, n=%d" shape n in
+          Alcotest.(check (list (pair int int)))
+            name expect
+            (List.combine (Array.to_list (sub key)) (Array.to_list (sub payload)));
+          let outside a = Array.to_list (Array.sub a 0 lo) @ Array.to_list (Array.sub a hi (n - hi)) in
+          Alcotest.(check (list int)) (name ^ ": keys outside the range") (outside key0) (outside key);
+          Alcotest.(check (list int))
+            (name ^ ": payloads outside the range")
+            (outside payload0) (outside payload))
+        (int_shapes rng n))
+    kernel_sizes
+
+(* Minor-heap words allocated while [f] runs.  [f] itself is allocated by
+   the caller, before the first reading. *)
+let minor_words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_pair_kernels_allocate_nothing () =
+  let rng = Rng.create 14 in
+  let n = 10_000 in
+  let key = Array.init n (fun _ -> Rng.int rng 100) and payload = shuffled_ids rng n in
+  let words = minor_words_during (fun () -> Introsort.sort_pairs ~key ~payload) in
+  Alcotest.(check (float 0.)) "sort_pairs" 0. words;
+  let fkey = Array.init n (fun i -> if i mod 11 = 0 then Float.nan else Rng.float rng 10.0) in
+  let payload = shuffled_ids rng n in
+  let words = minor_words_during (fun () -> Introsort.sort_float_pairs ~key:fkey ~payload) in
+  Alcotest.(check (float 0.)) "sort_float_pairs" 0. words
+
 let test_sort_indices_stable () =
   let keys = [| 3; 1; 3; 1; 3 |] in
   let idx = Introsort.sort_indices_by 5 ~cmp:(fun i j -> compare keys.(i) keys.(j)) in
@@ -143,6 +287,18 @@ let split_at_rank_oracle =
           !ok_bounds && !taken = rank && (!prefix_max = min_int || !suffix_min = max_int || !prefix_max <= !suffix_min))
         [ 0; n / 3; n / 2; n ])
 
+let test_split_at_rank_negative () =
+  (* the value-domain binary search must converge on negative keys: a
+     midpoint rounded toward zero equals [hi] on [-3, -2] and never
+     shrinks the interval *)
+  let src = [| -3; -2; min_int; max_int |] in
+  let runs = [| { Multiway.lo = 0; hi = 1 }; { Multiway.lo = 1; hi = 2 } |] in
+  Alcotest.(check (array int)) "rank 1 of [-3] [-2]" [| 1; 1 |] (Multiway.split_at_rank ~src ~runs ~rank:1);
+  let runs = [| { Multiway.lo = 2; hi = 3 }; { Multiway.lo = 0; hi = 2 }; { Multiway.lo = 3; hi = 4 } |] in
+  Alcotest.(check (array int))
+    "rank 2 over the full int range" [| 3; 1; 3 |]
+    (Multiway.split_at_rank ~src ~runs ~rank:2)
+
 let parallel_sort_oracle =
   QCheck.Test.make ~name:"parallel pair sort matches stable sort" ~count:100
     QCheck.(list (int_bound 30))
@@ -187,12 +343,17 @@ let () =
           Alcotest.test_case "comparator sort" `Quick test_sort_by_comparator;
           QCheck_alcotest.to_alcotest sort_oracle;
           QCheck_alcotest.to_alcotest pair_sort_stability;
+          Alcotest.test_case "sort_pairs = List.sort" `Quick test_sort_pairs_kernel;
+          Alcotest.test_case "sort_float_pairs = List.sort" `Quick test_sort_float_pairs_kernel;
+          Alcotest.test_case "sort_pairs_tie_range = List.sort" `Quick test_sort_pairs_tie_range_kernel;
+          Alcotest.test_case "pair kernels allocate nothing" `Quick test_pair_kernels_allocate_nothing;
         ] );
       ( "multiway",
         [
           Alcotest.test_case "merge" `Quick test_multiway_merge;
           QCheck_alcotest.to_alcotest merge_oracle;
           QCheck_alcotest.to_alcotest split_at_rank_oracle;
+          Alcotest.test_case "split_at_rank on negative keys" `Quick test_split_at_rank_negative;
         ] );
       ( "parallel_sort",
         [
