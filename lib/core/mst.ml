@@ -24,9 +24,11 @@ let payload_levels t =
 
 let count = T.count
 let count_ranges = T.count_ranges
+let count_bounds = T.count_bounds
 let iter_covered = T.iter_covered
 let count_value_ranges = T.count_value_ranges
 let select = T.select
+let select_bounds = T.select_bounds
 
 type internals = {
   int_levels : int array array;

@@ -72,9 +72,14 @@ val count : t -> lo:int -> hi:int -> less_than:int -> int
 (** [count t ~lo ~hi ~less_than] is [|{i ∈ [lo,hi) : a.(i) < less_than}|].
     Position bounds are clamped to [\[0, n\]]. *)
 
+val count_bounds : t -> bounds:int array -> nr:int -> less_than:int -> int
+(** Sum of {!count} over [nr] (disjoint) position ranges given flat:
+    range [i] is [\[bounds.(2i), bounds.(2i+1))] — a frame with up to two
+    exclusion holes (§4.7). A caller refilling one [bounds] array per row
+    probes without allocating. *)
+
 val count_ranges : t -> ranges:(int * int) array -> less_than:int -> int
-(** Sum of {!count} over several (disjoint) position ranges — holed frames
-    from frame-exclusion clauses (§4.7). *)
+(** {!count_bounds} over a tuple array, for tests and benchmarks. *)
 
 val select : t -> ranges:(int * int) array -> nth:int -> int
 (** [select t ~ranges ~nth] is the value of the (nth+1)-th element, scanning
@@ -84,6 +89,11 @@ val select : t -> ranges:(int * int) array -> nth:int -> int
     are original row positions, so this returns the original position of the
     (nth+1)-th smallest row inside the frame described by [ranges].
     @raise Invalid_argument if fewer than [nth + 1] elements qualify. *)
+
+val select_bounds : t -> bounds:int array -> nr:int -> nth:int -> int
+(** {!select} over [nr] value ranges given flat, as in {!count_bounds}.
+    The descent stops at level 1 and scans that node's leaves. Allocates
+    nothing for one range. *)
 
 val count_value_ranges : t -> ranges:(int * int) array -> int
 (** Number of elements whose value lies in the given ranges — the qualifying

@@ -45,10 +45,16 @@ val sample : t -> int
 val count : t -> lo:int -> hi:int -> less_than:int -> int
 (** Same contract as {!Mst.count}. *)
 
+val count_bounds : t -> bounds:int array -> nr:int -> less_than:int -> int
+(** Same contract as {!Mst.count_bounds}. *)
+
 val count_ranges : t -> ranges:(int * int) array -> less_than:int -> int
 
 val select : t -> ranges:(int * int) array -> nth:int -> int
 (** Same contract as {!Mst.select}. *)
+
+val select_bounds : t -> bounds:int array -> nr:int -> nth:int -> int
+(** Same contract as {!Mst.select_bounds}. *)
 
 val count_value_ranges : t -> ranges:(int * int) array -> int
 

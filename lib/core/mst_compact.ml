@@ -23,8 +23,10 @@ let fanout = T.fanout
 let sample = T.sample
 let count = T.count
 let count_ranges = T.count_ranges
+let count_bounds = T.count_bounds
 let count_value_ranges = T.count_value_ranges
 let select = T.select
+let select_bounds = T.select_bounds
 
 type stats = T.stats = {
   level_elements : int;

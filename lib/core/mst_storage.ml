@@ -5,17 +5,22 @@
    bigarrays or 16-bit [int16_unsigned] bigarrays, quartering the cache
    footprint of the bandwidth-bound query phase on small partitions.
 
-   Each backend keeps its binary search monomorphic and loop-local — the
-   search is the hot query operation and must not pay a functor-indirection
-   per probe step (this toolchain has no flambda, so calls through the
-   functor argument are real calls). One call per [lower_bound] amortises
-   over a full-run search, but not over the cascaded windows of a
-   descent, which hold fewer than [sample] elements and often just 0–2:
-   there the call (and the cursor [get] before it) is most of the cost.
-   The template therefore reads a sample-point position straight from the
-   cursor state without searching at all. *)
+   Each backend also owns the probe kernels: the top-level [lower_bound],
+   the cascade step [child_pos] and the level-1 leaf scans. This toolchain
+   has no flambda, so every call through the functor argument is a real
+   indirect call and nothing the template calls per element is inlined.
+   One call per [lower_bound] amortises over a full-run search, but not
+   over the cascaded windows of a descent, which hold fewer than [sample]
+   elements and often just 0-2: there a separate cursor [get] plus a
+   search call was most of the cost. [child_pos] therefore does the cursor
+   read and the window search in one loop-local body, one call per child.
+   Both searches are branch-free (the compare feeds an add through
+   [Bool.to_int]): the outcome of each halving is data-dependent, and a
+   mispredicted branch costs more than the compare it decides. *)
 
-module Bs = Holistic_util.Binary_search
+(* [v] in [\[lo, hi)] as one unsigned compare (lo <= hi): [v - lo] and
+   [hi - lo] taken modulo 2^63, compared with the sign bit flipped. *)
+let[@inline] in_range v lo hi = v - lo + min_int < hi - lo + min_int
 
 module type S = sig
   type buf
@@ -41,6 +46,29 @@ module type S = sig
   val lower_bound : buf -> lo:int -> hi:int -> int -> int
   (** Position of the first element in the sorted segment [\[lo, hi)] that is
       not less than the probe (all comparisons in the native [int] domain). *)
+
+  val child_pos : buf -> buf -> slot:int -> slack:int -> v:int -> c:int -> base:int -> len:int -> int
+  (** [child_pos below cur ~slot ~slack ~v ~c ~base ~len] is one cascade
+      step of a descent (§4.2): the position of probe [v] inside child [c]
+      of a node, the sorted run [\[base, base + len)] of [below], relative
+      to [base]. The node's sampled cursor state for the probe starts at
+      [cur.(slot)] and its entry [c] bounds the answer from below; [slack]
+      (the probe's distance past that sample point) bounds the window
+      searched above it. [slot < 0] marks an uncascaded tree: the whole
+      child run is searched, and [slack] must then be at least [len]. *)
+
+  val leaf_count : buf -> lo:int -> hi:int -> less_than:int -> int
+  (** Number of elements of [\[lo, hi)] below [less_than]: the level-1
+      finish of a count, where every child is a single leaf. *)
+
+  val leaf_select : buf -> base:int -> vlo:int -> vhi:int -> nth:int -> int
+  (** The (nth+1)-th element at or after [base] whose value lies in
+      [\[vlo, vhi)], which must exist: the level-1 finish of a select (the
+      shape of DuckDB's [MergeSortTree::SelectNth] leaf scan). *)
+
+  val leaf_select_bounds : buf -> base:int -> bounds:int array -> nr:int -> nth:int -> int
+  (** {!leaf_select} over the [nr] disjoint value ranges
+      [\[bounds.(2i), bounds.(2i+1))]. *)
 
   val of_int_array : msg:string -> int array -> buf
   (** Copy with range validation.
@@ -82,7 +110,62 @@ module Int63 : S with type buf = int array = struct
   let length = Array.length
   let get = Array.unsafe_get
   let set = Array.unsafe_set
-  let lower_bound = Bs.lower_bound
+
+  let lower_bound (a : buf) ~lo ~hi v =
+    if hi <= lo then lo
+    else begin
+      (* halve the segment without a branch on the compare *)
+      let b = ref lo and w = ref (hi - lo) in
+      while !w > 1 do
+        let half = !w lsr 1 in
+        b := !b + (half * Bool.to_int (Array.unsafe_get a (!b + half) < v));
+        w := !w - half
+      done;
+      !b + Bool.to_int (Array.unsafe_get a !b < v)
+    end
+
+  let child_pos (below : buf) (cur : buf) ~slot ~slack ~v ~c ~base ~len =
+    let off = if slot < 0 then 0 else Array.unsafe_get cur (slot + c) in
+    let w = ref (Int.min slack (len - off)) in
+    if !w = 0 then off
+    else begin
+      let b = ref (base + off) in
+      while !w > 1 do
+        let half = !w lsr 1 in
+        b := !b + (half * Bool.to_int (Array.unsafe_get below (!b + half) < v));
+        w := !w - half
+      done;
+      !b + Bool.to_int (Array.unsafe_get below !b < v) - base
+    end
+
+  let leaf_count (a : buf) ~lo ~hi ~less_than =
+    let acc = ref 0 in
+    for i = lo to hi - 1 do
+      acc := !acc + Bool.to_int (Array.unsafe_get a i < less_than)
+    done;
+    !acc
+
+  let leaf_select (a : buf) ~base ~vlo ~vhi ~nth =
+    let i = ref base and m = ref (nth + 1) in
+    while !m > 0 do
+      m := !m - Bool.to_int (in_range (Array.unsafe_get a !i) vlo vhi);
+      incr i
+    done;
+    Array.unsafe_get a (!i - 1)
+
+  let leaf_select_bounds (a : buf) ~base ~bounds ~nr ~nth =
+    let i = ref base and m = ref (nth + 1) in
+    while !m > 0 do
+      let v = Array.unsafe_get a !i in
+      for r = 0 to nr - 1 do
+        m :=
+          !m
+          - Bool.to_int
+              (in_range v (Array.unsafe_get bounds (2 * r)) (Array.unsafe_get bounds ((2 * r) + 1)))
+      done;
+      incr i
+    done;
+    Array.unsafe_get a (!i - 1)
   let of_int_array ~msg:_ a = Array.copy a
   let as_ints a = Some a
   let blit_to_ints a ~pos dst ~dst_pos ~len = Array.blit a pos dst dst_pos len
@@ -107,18 +190,61 @@ struct
   let get (a : buf) i = Int32.to_int (Bigarray.Array1.unsafe_get a i)
   let set (a : buf) i v = Bigarray.Array1.unsafe_set a i (Int32.of_int v)
 
-  let lower_bound (a : buf) ~lo ~hi x =
-    let lo = ref lo and len = ref (hi - lo) in
-    while !len > 0 do
-      let half = !len / 2 in
-      let mid = !lo + half in
-      if Int32.to_int (Bigarray.Array1.unsafe_get a mid) < x then begin
-        lo := mid + 1;
-        len := !len - half - 1
-      end
-      else len := half
+  let lower_bound (a : buf) ~lo ~hi v =
+    if hi <= lo then lo
+    else begin
+      (* halve the segment without a branch on the compare *)
+      let b = ref lo and w = ref (hi - lo) in
+      while !w > 1 do
+        let half = !w lsr 1 in
+        b := !b + (half * Bool.to_int (Int32.to_int (Bigarray.Array1.unsafe_get a (!b + half)) < v));
+        w := !w - half
+      done;
+      !b + Bool.to_int (Int32.to_int (Bigarray.Array1.unsafe_get a !b) < v)
+    end
+
+  let child_pos (below : buf) (cur : buf) ~slot ~slack ~v ~c ~base ~len =
+    let off = if slot < 0 then 0 else Int32.to_int (Bigarray.Array1.unsafe_get cur (slot + c)) in
+    let w = ref (Int.min slack (len - off)) in
+    if !w = 0 then off
+    else begin
+      let b = ref (base + off) in
+      while !w > 1 do
+        let half = !w lsr 1 in
+        b := !b + (half * Bool.to_int (Int32.to_int (Bigarray.Array1.unsafe_get below (!b + half)) < v));
+        w := !w - half
+      done;
+      !b + Bool.to_int (Int32.to_int (Bigarray.Array1.unsafe_get below !b) < v) - base
+    end
+
+  let leaf_count (a : buf) ~lo ~hi ~less_than =
+    let acc = ref 0 in
+    for i = lo to hi - 1 do
+      acc := !acc + Bool.to_int (Int32.to_int (Bigarray.Array1.unsafe_get a i) < less_than)
     done;
-    !lo
+    !acc
+
+  let leaf_select (a : buf) ~base ~vlo ~vhi ~nth =
+    let i = ref base and m = ref (nth + 1) in
+    while !m > 0 do
+      m := !m - Bool.to_int (in_range (Int32.to_int (Bigarray.Array1.unsafe_get a !i)) vlo vhi);
+      incr i
+    done;
+    Int32.to_int (Bigarray.Array1.unsafe_get a (!i - 1))
+
+  let leaf_select_bounds (a : buf) ~base ~bounds ~nr ~nth =
+    let i = ref base and m = ref (nth + 1) in
+    while !m > 0 do
+      let v = Int32.to_int (Bigarray.Array1.unsafe_get a !i) in
+      for r = 0 to nr - 1 do
+        m :=
+          !m
+          - Bool.to_int
+              (in_range v (Array.unsafe_get bounds (2 * r)) (Array.unsafe_get bounds ((2 * r) + 1)))
+      done;
+      incr i
+    done;
+    Int32.to_int (Bigarray.Array1.unsafe_get a (!i - 1))
 
   let of_int_array ~msg src =
     let n = Array.length src in
@@ -161,18 +287,61 @@ struct
   let get (a : buf) i = Bigarray.Array1.unsafe_get a i
   let set (a : buf) i v = Bigarray.Array1.unsafe_set a i v
 
-  let lower_bound (a : buf) ~lo ~hi x =
-    let lo = ref lo and len = ref (hi - lo) in
-    while !len > 0 do
-      let half = !len / 2 in
-      let mid = !lo + half in
-      if Bigarray.Array1.unsafe_get a mid < x then begin
-        lo := mid + 1;
-        len := !len - half - 1
-      end
-      else len := half
+  let lower_bound (a : buf) ~lo ~hi v =
+    if hi <= lo then lo
+    else begin
+      (* halve the segment without a branch on the compare *)
+      let b = ref lo and w = ref (hi - lo) in
+      while !w > 1 do
+        let half = !w lsr 1 in
+        b := !b + (half * Bool.to_int (Bigarray.Array1.unsafe_get a (!b + half) < v));
+        w := !w - half
+      done;
+      !b + Bool.to_int (Bigarray.Array1.unsafe_get a !b < v)
+    end
+
+  let child_pos (below : buf) (cur : buf) ~slot ~slack ~v ~c ~base ~len =
+    let off = if slot < 0 then 0 else Bigarray.Array1.unsafe_get cur (slot + c) in
+    let w = ref (Int.min slack (len - off)) in
+    if !w = 0 then off
+    else begin
+      let b = ref (base + off) in
+      while !w > 1 do
+        let half = !w lsr 1 in
+        b := !b + (half * Bool.to_int (Bigarray.Array1.unsafe_get below (!b + half) < v));
+        w := !w - half
+      done;
+      !b + Bool.to_int (Bigarray.Array1.unsafe_get below !b < v) - base
+    end
+
+  let leaf_count (a : buf) ~lo ~hi ~less_than =
+    let acc = ref 0 in
+    for i = lo to hi - 1 do
+      acc := !acc + Bool.to_int (Bigarray.Array1.unsafe_get a i < less_than)
     done;
-    !lo
+    !acc
+
+  let leaf_select (a : buf) ~base ~vlo ~vhi ~nth =
+    let i = ref base and m = ref (nth + 1) in
+    while !m > 0 do
+      m := !m - Bool.to_int (in_range (Bigarray.Array1.unsafe_get a !i) vlo vhi);
+      incr i
+    done;
+    Bigarray.Array1.unsafe_get a (!i - 1)
+
+  let leaf_select_bounds (a : buf) ~base ~bounds ~nr ~nth =
+    let i = ref base and m = ref (nth + 1) in
+    while !m > 0 do
+      let v = Bigarray.Array1.unsafe_get a !i in
+      for r = 0 to nr - 1 do
+        m :=
+          !m
+          - Bool.to_int
+              (in_range v (Array.unsafe_get bounds (2 * r)) (Array.unsafe_get bounds ((2 * r) + 1)))
+      done;
+      incr i
+    done;
+    Bigarray.Array1.unsafe_get a (!i - 1)
 
   let of_int_array ~msg src =
     let n = Array.length src in

@@ -700,30 +700,21 @@ module Make (S : Mst_storage.S) = struct
      run at level [j - 1]. The sampled cursor state at s = ⌊pos/k⌋·k bounds
      the answer to a window of [pos - s < k] elements (§4.2). The state's
      slot and that slack depend only on the node and [pos], so the
-     descents compute them once per node and pass them, with the node's
-     level arrays, to [child_pos] as plain ints: the per-child work is
-     integer arithmetic plus at most one cursor read and one search. *)
+     descents compute them once per node and hand them, with the node's
+     level arrays, to the storage's [S.child_pos] kernel: one call per
+     child per bound. Without cascading the slot is -1 and the slack
+     unbounded, so the kernel searches the whole child run.
+
+     At level 1 every child is a single leaf, so the descents stop there
+     and finish with a scan of the node's leaves in level 0
+     ([S.leaf_count], [S.leaf_select]) instead of a cascade step per
+     leaf. *)
 
   let cursor_slot t j run_base pos =
-    if t.sample = 0 then 0
+    if t.sample = 0 then -1
     else ((run_base / t.stride.(j) * t.spr.(j - 1)) + (pos / t.sample)) * t.fanout
 
-  let slack_of t pos = if t.sample = 0 then 0 else pos mod t.sample
-
-  (* Position of [v] inside child [c], the run [child_base, child_base +
-     child_len) of level [below] whose sampled states are [cur]. Without
-     cascading the whole child run is searched. A sample point (slack 0)
-     is read straight from the cursor state. *)
-  let child_pos t below cur slot slack v c child_base child_len =
-    if t.sample = 0 then
-      S.lower_bound below ~lo:child_base ~hi:(child_base + child_len) v - child_base
-    else begin
-      let off = S.get cur (slot + c) in
-      if slack = 0 then off
-      else
-        let whi = Int.min (off + slack) child_len in
-        S.lower_bound below ~lo:(child_base + off) ~hi:(child_base + whi) v - child_base
-    end
+  let slack_of t pos = if t.sample = 0 then max_int else pos mod t.sample
 
   (* ------------------------------------------------------------------ *)
   (* Counting                                                            *)
@@ -734,6 +725,20 @@ module Make (S : Mst_storage.S) = struct
      is [less_than]'s position in the node's run. Invariant: [lo, hi)
      intersects but does not contain the node. *)
   let rec descend_count t j run_base run_len pos lo hi less_than =
+    if j = 1 then count_leaves t run_base run_len pos lo hi less_than
+    else descend_children t j run_base run_len pos lo hi less_than
+
+  (* The level-1 finish: the children are leaves, so scan the smaller of
+     the in-range leaves and their complement. *)
+  and count_leaves t run_base run_len pos lo hi less_than =
+    let run_end = run_base + run_len in
+    let a = Int.max lo run_base and b = Int.min hi run_end in
+    let l0 = t.levels.(0) in
+    if 2 * (b - a) <= run_len then S.leaf_count l0 ~lo:a ~hi:b ~less_than
+    else
+      pos - S.leaf_count l0 ~lo:run_base ~hi:a ~less_than - S.leaf_count l0 ~lo:b ~hi:run_end ~less_than
+
+  and descend_children t j run_base run_len pos lo hi less_than =
     let lc = t.stride.(j - 1) in
     let nc = ((run_len - 1) / lc) + 1 in
     let below = t.levels.(j - 1) and cur = t.cursors.(j - 1) in
@@ -747,7 +752,7 @@ module Make (S : Mst_storage.S) = struct
       for c = c_first to c_last do
         let child_base = run_base + (c * lc) in
         let child_len = Int.min lc (run_len - (c * lc)) in
-        let cp = child_pos t below cur slot slack less_than c child_base child_len in
+        let cp = S.child_pos below cur ~slot ~slack ~v:less_than ~c ~base:child_base ~len:child_len in
         acc :=
           !acc
           + if lo <= child_base && child_base + child_len <= hi then cp
@@ -760,12 +765,13 @@ module Make (S : Mst_storage.S) = struct
          subtract the children outside the range (the cheaper complement) *)
       let acc = ref pos in
       for c = 0 to c_first - 1 do
-        acc := !acc - child_pos t below cur slot slack less_than c (run_base + (c * lc)) lc
+        acc :=
+          !acc - S.child_pos below cur ~slot ~slack ~v:less_than ~c ~base:(run_base + (c * lc)) ~len:lc
       done;
       for c = c_last + 1 to nc - 1 do
         let child_base = run_base + (c * lc) in
         let child_len = Int.min lc (run_len - (c * lc)) in
-        acc := !acc - child_pos t below cur slot slack less_than c child_base child_len
+        acc := !acc - S.child_pos below cur ~slot ~slack ~v:less_than ~c ~base:child_base ~len:child_len
       done;
       (* the boundary children may be partial *)
       acc := !acc + boundary_fix t j run_base run_len lo hi less_than below cur slot slack c_first;
@@ -782,7 +788,7 @@ module Make (S : Mst_storage.S) = struct
     let child_len = Int.min lc (run_len - (c * lc)) in
     if lo <= child_base && child_base + child_len <= hi then 0
     else begin
-      let cp = child_pos t below cur slot slack less_than c child_base child_len in
+      let cp = S.child_pos below cur ~slot ~slack ~v:less_than ~c ~base:child_base ~len:child_len in
       descend_count t (j - 1) child_base child_len cp lo hi less_than - cp
     end
 
@@ -795,10 +801,21 @@ module Make (S : Mst_storage.S) = struct
       if lo = 0 && hi = t.n then pos else descend_count t h 0 t.n pos lo hi less_than
     end
 
+  (* The flat form of a frame: range [i] is [\[bounds.(2i), bounds.(2i+1))],
+     for [i < nr]. Callers keep one [bounds] array per task and refill it
+     per row, so a probe allocates nothing. *)
+  let count_bounds t ~bounds ~nr ~less_than =
+    let acc = ref 0 in
+    for i = 0 to nr - 1 do
+      acc := !acc + count t ~lo:bounds.(2 * i) ~hi:bounds.((2 * i) + 1) ~less_than
+    done;
+    !acc
+
+  (* The tuple form, kept for tests and benchmarks. *)
   let count_ranges t ~ranges ~less_than =
     let acc = ref 0 in
-    for r = 0 to Array.length ranges - 1 do
-      let lo, hi = ranges.(r) in
+    for i = 0 to Array.length ranges - 1 do
+      let lo, hi = ranges.(i) in
       acc := !acc + count t ~lo ~hi ~less_than
     done;
     !acc
@@ -812,7 +829,7 @@ module Make (S : Mst_storage.S) = struct
       let child_base = run_base + (c * lc) in
       let child_len = Int.min lc (run_len - (c * lc)) in
       if child_base < hi && child_base + child_len > lo then begin
-        let cp = child_pos t below cur slot slack less_than c child_base child_len in
+        let cp = S.child_pos below cur ~slot ~slack ~v:less_than ~c ~base:child_base ~len:child_len in
         if lo <= child_base && child_base + child_len <= hi then
           f ~level:(j - 1) ~base:child_base ~prefix:cp
         else descend_iter t (j - 1) child_base child_len cp lo hi less_than f
@@ -845,11 +862,12 @@ module Make (S : Mst_storage.S) = struct
     invalid_arg (Printf.sprintf "%s.select: nth=%d out of bounds (%d qualifying)" S.name nth total)
 
   (* The frame case: one value range [vlo, vhi). The top level is searched
-     once for both bounds; then each level scans the current node's
-     children, skipping whole children's qualifying counts until the one
-     holding the [m]-th qualifying element, and steps into it. The whole
-     cascade state — the node, both bounds' positions in its run and the
-     rank still to skip — lives in loop-local refs. *)
+     once for both bounds; then each level down to 2 scans the current
+     node's children, skipping whole children's qualifying counts until the
+     one holding the [m]-th qualifying element, and steps into it. The
+     whole cascade state — the node, both bounds' positions in its run and
+     the rank still to skip — lives in loop-local refs. The level-1 node's
+     leaves are then scanned for the [m]-th qualifying one. *)
   let select_one t vlo vhi nth =
     let n = t.n in
     let h = Array.length t.levels - 1 in
@@ -858,7 +876,7 @@ module Make (S : Mst_storage.S) = struct
     let bhi = ref (S.lower_bound top ~lo:0 ~hi:n vhi) in
     if nth < 0 || nth >= !bhi - !blo then out_of_bounds nth (!bhi - !blo);
     let run_base = ref 0 and run_len = ref n and m = ref nth in
-    for j = h downto 1 do
+    for j = h downto 2 do
       let lc = t.stride.(j - 1) in
       let below = t.levels.(j - 1) and cur = t.cursors.(j - 1) in
       let slot_lo = cursor_slot t j !run_base !blo and slack_lo = slack_of t !blo in
@@ -868,8 +886,12 @@ module Make (S : Mst_storage.S) = struct
         let child_base = !run_base + (!c * lc) in
         assert (child_base < !run_base + !run_len);
         let child_len = Int.min lc (!run_len - (!c * lc)) in
-        let clo = child_pos t below cur slot_lo slack_lo vlo !c child_base child_len in
-        let chi = child_pos t below cur slot_hi slack_hi vhi !c child_base child_len in
+        let clo =
+          S.child_pos below cur ~slot:slot_lo ~slack:slack_lo ~v:vlo ~c:!c ~base:child_base ~len:child_len
+        in
+        let chi =
+          S.child_pos below cur ~slot:slot_hi ~slack:slack_hi ~v:vhi ~c:!c ~base:child_base ~len:child_len
+        in
         if !m < chi - clo then begin
           run_base := child_base;
           run_len := child_len;
@@ -883,25 +905,24 @@ module Make (S : Mst_storage.S) = struct
         end
       done
     done;
-    assert (!m = 0);
-    S.get t.levels.(0) !run_base
+    S.leaf_select t.levels.(0) ~base:!run_base ~vlo ~vhi ~nth:!m
 
   (* The holed-frame case: the same descent over the 2·nr bounds of nr
      value ranges. Its one scratch array holds four rows of 2·nr ints:
-     each bound's position in the current node's run (bound 2r is
-     ranges.(r)'s lower value, 2r+1 its upper) and in the child being
-     scanned — the two rows swap roles on each step down — then each
-     bound's cursor slot and slack in the current node. *)
-  let select_many t ranges nth =
+     each bound's position in the current node's run (bound b is
+     [bounds.(b)]) and in the child being scanned — the two rows swap
+     roles on each step down — then each bound's cursor slot and slack in
+     the current node. *)
+  let select_many t bounds nr nth =
     let n = t.n in
     let h = Array.length t.levels - 1 in
     let top = t.levels.(h) in
-    let nb = 2 * Array.length ranges in
+    let nb = 2 * nr in
     let sc = Array.make (4 * nb) 0 in
     let total = ref 0 in
-    for r = 0 to Array.length ranges - 1 do
-      let vlo, vhi = ranges.(r) in
-      let blo = S.lower_bound top ~lo:0 ~hi:n vlo and bhi = S.lower_bound top ~lo:0 ~hi:n vhi in
+    for r = 0 to nr - 1 do
+      let blo = S.lower_bound top ~lo:0 ~hi:n bounds.(2 * r)
+      and bhi = S.lower_bound top ~lo:0 ~hi:n bounds.((2 * r) + 1) in
       sc.(2 * r) <- blo;
       sc.((2 * r) + 1) <- bhi;
       total := !total + bhi - blo
@@ -909,7 +930,7 @@ module Make (S : Mst_storage.S) = struct
     if nth < 0 || nth >= !total then out_of_bounds nth !total;
     let node = ref 0 and child = ref nb and slots = 2 * nb and slacks = 3 * nb in
     let run_base = ref 0 and run_len = ref n and m = ref nth in
-    for j = h downto 1 do
+    for j = h downto 2 do
       let lc = t.stride.(j - 1) in
       let below = t.levels.(j - 1) and cur = t.cursors.(j - 1) in
       for b = 0 to nb - 1 do
@@ -924,8 +945,10 @@ module Make (S : Mst_storage.S) = struct
         let child_len = Int.min lc (!run_len - (!c * lc)) in
         let qual = ref 0 in
         for b = 0 to nb - 1 do
-          let v = if b land 1 = 0 then fst ranges.(b / 2) else snd ranges.(b / 2) in
-          let cp = child_pos t below cur sc.(slots + b) sc.(slacks + b) v !c child_base child_len in
+          let cp =
+            S.child_pos below cur ~slot:sc.(slots + b) ~slack:sc.(slacks + b) ~v:bounds.(b) ~c:!c
+              ~base:child_base ~len:child_len
+          in
           sc.(!child + b) <- cp;
           if b land 1 = 1 then qual := !qual + cp - sc.(!child + b - 1)
         done;
@@ -943,15 +966,25 @@ module Make (S : Mst_storage.S) = struct
         end
       done
     done;
-    assert (!m = 0);
-    S.get t.levels.(0) !run_base
+    S.leaf_select_bounds t.levels.(0) ~base:!run_base ~bounds ~nr ~nth:!m
 
+  let select_bounds t ~bounds ~nr ~nth =
+    if nr = 1 then select_one t bounds.(0) bounds.(1) nth else select_many t bounds nr nth
+
+  let flatten ranges =
+    let bounds = Array.make (2 * Array.length ranges) 0 in
+    Array.iteri
+      (fun i (lo, hi) ->
+        bounds.(2 * i) <- lo;
+        bounds.((2 * i) + 1) <- hi)
+      ranges;
+    bounds
+
+  (* The tuple form, kept for tests and benchmarks. *)
   let select t ~ranges ~nth =
-    if Array.length ranges = 1 then begin
-      let vlo, vhi = ranges.(0) in
-      select_one t vlo vhi nth
-    end
-    else select_many t ranges nth
+    match ranges with
+    | [| (vlo, vhi) |] -> select_one t vlo vhi nth
+    | _ -> select_many t (flatten ranges) (Array.length ranges) nth
 
   (* ------------------------------------------------------------------ *)
   (* Statistics                                                          *)

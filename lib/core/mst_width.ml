@@ -100,6 +100,12 @@ let count t ~lo ~hi ~less_than =
   | T32 t -> Mst_compact.count t ~lo ~hi ~less_than
   | T64 t -> Mst.count t ~lo ~hi ~less_than
 
+let count_bounds t ~bounds ~nr ~less_than =
+  match t with
+  | T16 t -> Mst16.count_bounds t ~bounds ~nr ~less_than
+  | T32 t -> Mst_compact.count_bounds t ~bounds ~nr ~less_than
+  | T64 t -> Mst.count_bounds t ~bounds ~nr ~less_than
+
 let count_ranges t ~ranges ~less_than =
   match t with
   | T16 t -> Mst16.count_ranges t ~ranges ~less_than
@@ -111,6 +117,12 @@ let count_value_ranges t ~ranges =
   | T16 t -> Mst16.count_value_ranges t ~ranges
   | T32 t -> Mst_compact.count_value_ranges t ~ranges
   | T64 t -> Mst.count_value_ranges t ~ranges
+
+let select_bounds t ~bounds ~nr ~nth =
+  match t with
+  | T16 t -> Mst16.select_bounds t ~bounds ~nr ~nth
+  | T32 t -> Mst_compact.select_bounds t ~bounds ~nr ~nth
+  | T64 t -> Mst.select_bounds t ~bounds ~nr ~nth
 
 let select t ~ranges ~nth =
   match t with

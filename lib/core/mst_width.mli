@@ -76,6 +76,14 @@ val extend :
 val width : t -> width
 val length : t -> int
 val count : t -> lo:int -> hi:int -> less_than:int -> int
+
+val count_bounds : t -> bounds:int array -> nr:int -> less_than:int -> int
+(** {!Mst.count_bounds} at the tree's width: the evaluators' per-row entry
+    point, fed a task-owned [bounds] array. *)
+
+val select_bounds : t -> bounds:int array -> nr:int -> nth:int -> int
+(** {!Mst.select_bounds} at the tree's width. *)
+
 val count_ranges : t -> ranges:(int * int) array -> less_than:int -> int
 val count_value_ranges : t -> ranges:(int * int) array -> int
 val select : t -> ranges:(int * int) array -> nth:int -> int

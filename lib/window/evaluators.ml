@@ -152,12 +152,34 @@ let encode ctx order =
           let cmp_rows = Sort_spec.fast_comparator ctx.table order in
           Rank_encode.of_cmp ~pool:ctx.pool n ~cmp:(fun i j -> cmp_rows ctx.rows.(i) ctx.rows.(j)))
 
-let mapped_ranges ctx rm r = Remap.map_ranges rm (Frame.ranges ctx.frame r)
+(* The MST arms' per-row frame: one flat bounds array per probe chunk
+   ([new_bounds]), refilled per row with the row's ranges mapped into the
+   filtered index space; [row_bounds] returns the range count. Nothing is
+   allocated per row. The other arms take the same ranges as a fresh
+   tuple array ([mapped_ranges]). *)
+let new_bounds () = Array.make (2 * Frame.max_ranges) 0
+let row_bounds ctx rm r bounds = Remap.map_bounds rm bounds (Frame.bounds ctx.frame r bounds)
+
+let mapped_ranges ctx rm r =
+  let b = new_bounds () in
+  Array.init (row_bounds ctx rm r b) (fun i -> (b.(2 * i), b.((2 * i) + 1)))
+
 let covered_of ranges = Array.fold_left (fun acc (lo, hi) -> acc + hi - lo) 0 ranges
 
-(* Embarrassingly parallel probe phase over the partition's rows. *)
+let covered_bounds bounds nr =
+  let acc = ref 0 in
+  for i = 0 to nr - 1 do
+    acc := !acc + bounds.((2 * i) + 1) - bounds.(2 * i)
+  done;
+  !acc
+
+(* Embarrassingly parallel probe phase over the partition's rows, in
+   chunks of [task_size]: [f lo hi] evaluates rows [lo, hi), so per-chunk
+   state (bounds scratch, closures over it) is created once per chunk. *)
+let probe_chunks ctx f = Task_pool.parallel_for ctx.pool ~lo:0 ~hi:(np ctx) ~chunk:ctx.task_size f
+
 let probe ctx f =
-  Task_pool.parallel_for ctx.pool ~lo:0 ~hi:(np ctx) ~chunk:ctx.task_size (fun lo hi ->
+  probe_chunks ctx (fun lo hi ->
       for r = lo to hi - 1 do
         f r
       done)
@@ -267,32 +289,30 @@ let next_of prev =
 (* DISTINCT aggregates over holed frames (§4.7 + back-reference chains) *)
 (* ------------------------------------------------------------------ *)
 
+(* [q] lies in one of the flat ranges [i, nr) of [bounds] *)
+let rec in_bounds (bounds : int array) nr q i =
+  i < nr && ((q >= bounds.(2 * i) && q < bounds.((2 * i) + 1)) || in_bounds bounds nr q (i + 1))
+
 (* Iterates the hole positions whose value occurs in the frame's span only
    inside holes; [on_orphan] receives each such position once (its first
-   in-span occurrence). See DESIGN.md: per-range thresholds overcount values
-   spanning ranges, so holed DISTINCT frames are evaluated as one span query
-   minus these orphans. *)
-let iter_hole_orphans prev next ranges ~on_orphan =
-  let k = Array.length ranges in
-  let span_lo = fst ranges.(0) and span_hi = snd ranges.(k - 1) in
-  let in_ranges q =
-    let rec go i = i < k && ((q >= fst ranges.(i) && q < snd ranges.(i)) || go (i + 1)) in
-    go 0
-  in
-  for g = 0 to k - 2 do
-    let glo = snd ranges.(g) and ghi = fst ranges.(g + 1) in
+   in-span occurrence). The frame is the [nr >= 2] flat ranges of
+   [bounds]. See DESIGN.md: per-range thresholds overcount values spanning
+   ranges, so holed DISTINCT frames are evaluated as one span query minus
+   these orphans. *)
+let iter_hole_orphans prev next bounds nr ~on_orphan =
+  let span_lo = bounds.(0) and span_hi = bounds.((2 * nr) - 1) in
+  for g = 0 to nr - 2 do
+    let glo = bounds.((2 * g) + 1) and ghi = bounds.((2 * g) + 2) in
     for p = glo to ghi - 1 do
       if prev.(p) < span_lo + 1 then begin
         let q = ref next.(p) in
-        while !q < span_hi && not (in_ranges !q) do
+        while !q < span_hi && not (in_bounds bounds nr !q 0) do
           q := next.(!q)
         done;
         if !q >= span_hi then on_orphan p
       end
     done
   done
-
-let span_of ranges = (fst ranges.(0), snd ranges.(Array.length ranges - 1))
 
 (* ------------------------------------------------------------------ *)
 (* Plain (non-distinct) framed aggregates — segment trees (Leis et al.) *)
@@ -414,22 +434,21 @@ let eval_distinct_count ctx ~arg ~filter ~algorithm ~out =
       let next =
         if Frame.exclusion ctx.frame = Window_spec.Exclude_no_others then [||] else next_of prev
       in
-      probe ctx (fun r ->
-          let ranges = mapped_ranges ctx rm r in
-          let v =
-            match Array.length ranges with
-            | 0 -> 0
-            | 1 ->
-                let lo, hi = ranges.(0) in
-                Mstw.count tree ~lo ~hi ~less_than:(lo + 1)
-            | _ ->
-                let span_lo, span_hi = span_of ranges in
-                let base = Mstw.count tree ~lo:span_lo ~hi:span_hi ~less_than:(span_lo + 1) in
-                let corr = ref 0 in
-                iter_hole_orphans prev next ranges ~on_orphan:(fun _ -> incr corr);
-                base - !corr
-          in
-          emit r v)
+      probe_chunks ctx (fun lo hi ->
+          let b = new_bounds () and corr = ref 0 in
+          let on_orphan _ = incr corr in
+          for r = lo to hi - 1 do
+            let nr = row_bounds ctx rm r b in
+            if nr = 0 then emit r 0
+            else begin
+              (* one span query: values first seen inside the span count
+                 once, minus those seen only in its holes *)
+              let span_lo = b.(0) and span_hi = b.((2 * nr) - 1) in
+              corr := 0;
+              if nr > 1 then iter_hole_orphans prev next b nr ~on_orphan;
+              emit r (Mstw.count tree ~lo:span_lo ~hi:span_hi ~less_than:(span_lo + 1) - !corr)
+            end
+          done)
   | Naive ->
       probe ctx (fun r -> emit r (Naive.distinct_count ids ~ranges:(mapped_ranges ctx rm r)))
   | Incremental | Incremental_serial ->
@@ -443,6 +462,18 @@ let eval_distinct_count ctx ~arg ~filter ~algorithm ~out =
             fun () -> Inc.Distinct_count.clear dc ))
   | Order_statistic | Segment_tree -> unsupported "distinct count"
 
+(* Sum and count of the distinct values (by [ids]) in [ranges], each value
+   taken at its first occurrence. *)
+let distinct_sum ids fvals ranges =
+  let seen = Hashtbl.create 16 in
+  Array.iter
+    (fun (lo, hi) ->
+      for i = lo to hi - 1 do
+        if not (Hashtbl.mem seen ids.(i)) then Hashtbl.add seen ids.(i) fvals.(i)
+      done)
+    ranges;
+  (Hashtbl.fold (fun _ v a -> a +. v) seen 0.0, Hashtbl.length seen)
+
 let eval_distinct_sum_avg ctx ~kind ~arg ~filter ~algorithm ~out =
   let acc = arg_access ctx arg in
   let qual = { Build_cache.filter; extra = Build_cache.Ex_nonnull arg } in
@@ -450,7 +481,7 @@ let eval_distinct_sum_avg ctx ~kind ~arg ~filter ~algorithm ~out =
   let ids = Build_cache.arg_ids ctx.cache ~arg ~qual (fun () -> acc.ids_filtered rm) in
   let m = Remap.filtered_count rm in
   let fvals = Array.init m (fun i -> acc.float_at (Remap.position rm i)) in
-  let emit r (s, c) =
+  let emit r s c =
     out.(ctx.rows.(r)) <-
       (if c = 0 then Value.Null
        else if kind = Sum then Value.Float s
@@ -471,36 +502,42 @@ let eval_distinct_sum_avg ctx ~kind ~arg ~filter ~algorithm ~out =
       let next =
         if Frame.exclusion ctx.frame = Window_spec.Exclude_no_others then [||] else next_of prev
       in
-      probe ctx (fun r ->
-          let ranges = mapped_ranges ctx rm r in
-          let v =
-            match Array.length ranges with
-            | 0 -> (0.0, 0)
-            | 1 ->
-                let lo, hi = ranges.(0) in
-                Sum_count_mst.query tree ~lo ~hi ~less_than:(lo + 1)
-            | _ ->
-                let span_lo, span_hi = span_of ranges in
-                let s, c = Sum_count_mst.query tree ~lo:span_lo ~hi:span_hi ~less_than:(span_lo + 1) in
-                let corr_s = ref 0.0 and corr_c = ref 0 in
-                iter_hole_orphans prev next ranges ~on_orphan:(fun p ->
-                    corr_s := !corr_s +. fvals.(p);
-                    incr corr_c);
-                (s -. !corr_s, c - !corr_c)
+      probe_chunks ctx (fun lo hi ->
+          let b = new_bounds () in
+          (* the orphans' sum sits in a float array, so adding to it boxes
+             nothing *)
+          let corr_s = [| 0.0 |] and corr_c = ref 0 and finite = ref true in
+          let on_orphan p =
+            corr_s.(0) <- corr_s.(0) +. fvals.(p);
+            incr corr_c;
+            if not (Float.is_finite fvals.(p)) then finite := false
           in
-          emit r v)
+          for r = lo to hi - 1 do
+            let nr = row_bounds ctx rm r b in
+            if nr = 0 then emit r 0.0 0
+            else begin
+              let span_lo = b.(0) and span_hi = b.((2 * nr) - 1) in
+              corr_s.(0) <- 0.0;
+              corr_c := 0;
+              finite := true;
+              if nr > 1 then iter_hole_orphans prev next b nr ~on_orphan;
+              if !finite then begin
+                let s, c = Sum_count_mst.query tree ~lo:span_lo ~hi:span_hi ~less_than:(span_lo + 1) in
+                emit r (s -. corr_s.(0)) (c - !corr_c)
+              end
+              else begin
+                (* subtracting a NaN or infinite orphan from the span's sum
+                   gives NaN whatever the frame holds: sum this frame
+                   directly *)
+                let s, c = distinct_sum ids fvals (mapped_ranges ctx rm r) in
+                emit r s c
+              end
+            end
+          done)
   | Naive ->
       probe ctx (fun r ->
-          let ranges = mapped_ranges ctx rm r in
-          let seen = Hashtbl.create 16 in
-          Array.iter
-            (fun (lo, hi) ->
-              for i = lo to hi - 1 do
-                if not (Hashtbl.mem seen ids.(i)) then Hashtbl.add seen ids.(i) fvals.(i)
-              done)
-            ranges;
-          let s = Hashtbl.fold (fun _ v a -> a +. v) seen 0.0 in
-          emit r (s, Hashtbl.length seen))
+          let s, c = distinct_sum ids fvals (mapped_ranges ctx rm r) in
+          emit r s c)
   | Incremental | Incremental_serial | Order_statistic | Segment_tree ->
       unsupported "distinct sum/avg supports Auto/Mst/Naive"
 
@@ -590,7 +627,7 @@ let eval_mode ctx ~arg ~filter ~algorithm ~out =
 type rank_variant = Rank_v | Dense_v | Row_number_v | Percent_rank_v | Cume_dist_v | Ntile_v of int
 
 let ntile_bucket ~buckets ~s ~rn0 =
-  let rn0 = max 0 (min rn0 (s - 1)) in
+  let rn0 = Int.max 0 (Int.min rn0 (s - 1)) in
   let q = s / buckets and rem = s mod buckets in
   let b =
     if q = 0 then rn0
@@ -631,20 +668,20 @@ let eval_rank_family ctx ~variant ~order ~filter ~algorithm ~out =
         Build_cache.range_tree ctx.cache ~algo:(mst_tag algorithm) ~order ~qual ~sample (fun () ->
             Range_tree.create ~pool:ctx.pool ~fanout:ctx.fanout ~sample frank)
       in
-      probe ctx (fun r ->
-          let ranges = mapped_ranges ctx rm r in
-          let key = enc.Rank_encode.rank_codes.(r) in
-          let v =
-            match Array.length ranges with
-            | 0 -> 0
-            | 1 ->
-                let lo, hi = ranges.(0) in
-                Range_tree.distinct_below rt ~lo ~hi ~key
-            | _ ->
+      probe_chunks ctx (fun lo hi ->
+          let b = new_bounds () in
+          for r = lo to hi - 1 do
+            let nr = row_bounds ctx rm r b in
+            let key = enc.Rank_encode.rank_codes.(r) in
+            let v =
+              if nr = 0 then 0
+              else if nr = 1 then Range_tree.distinct_below rt ~lo:b.(0) ~hi:b.(1) ~key
+              else
                 (* holed frames fall back to a scan; see DESIGN.md *)
-                Naive.distinct_below frank ~ranges ~key
-          in
-          emit r (Value.Int (v + 1)))
+                Naive.distinct_below frank ~ranges:(mapped_ranges ctx rm r) ~key
+            in
+            emit r (Value.Int (v + 1))
+          done)
   | Dense_v, Naive ->
       let frank = Lazy.force frank in
       probe ctx (fun r ->
@@ -673,24 +710,29 @@ let eval_rank_family ctx ~variant ~order ~filter ~algorithm ~out =
                  governed_mst ctx ~sample ~n:m ~get:getw ~arr:(fun () -> Lazy.force frow)))
         else None
       in
-      probe ctx (fun r ->
-          let ranges = mapped_ranges ctx rm r in
-          let s = covered_of ranges in
-          let code = enc.Rank_encode.rank_codes.(r) in
-          let cnt_less, cnt_le =
-            match tree_rank with
-            | Some t ->
-                ( Mstw.count_ranges t ~ranges ~less_than:code,
-                  if variant = Cume_dist_v then Mstw.count_ranges t ~ranges ~less_than:(code + 1)
-                  else 0 )
-            | None -> (0, 0)
-          in
-          let rn0 =
-            match tree_row with
-            | Some t -> Mstw.count_ranges t ~ranges ~less_than:enc.Rank_encode.row_codes.(r)
-            | None -> 0
-          in
-          finish r ~cnt_less ~cnt_le ~rn0 ~s)
+      let cume = match variant with Cume_dist_v -> true | _ -> false in
+      probe_chunks ctx (fun lo hi ->
+          let b = new_bounds () in
+          for r = lo to hi - 1 do
+            let nr = row_bounds ctx rm r b in
+            let code = enc.Rank_encode.rank_codes.(r) in
+            let cnt_less =
+              match tree_rank with
+              | Some t -> Mstw.count_bounds t ~bounds:b ~nr ~less_than:code
+              | None -> 0
+            in
+            let cnt_le =
+              match tree_rank with
+              | Some t when cume -> Mstw.count_bounds t ~bounds:b ~nr ~less_than:(code + 1)
+              | _ -> 0
+            in
+            let rn0 =
+              match tree_row with
+              | Some t -> Mstw.count_bounds t ~bounds:b ~nr ~less_than:enc.Rank_encode.row_codes.(r)
+              | None -> 0
+            in
+            finish r ~cnt_less ~cnt_le ~rn0 ~s:(covered_bounds b nr)
+          done)
   | _, Naive ->
       let frank = Lazy.force frank and frow = Lazy.force frow in
       probe ctx (fun r ->
@@ -773,7 +815,7 @@ let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~o
           if s = 0 then Value.Null
           else begin
             let i = int_of_float (Float.ceil (p *. float_of_int s)) - 1 in
-            let i = max 0 (min i (s - 1)) in
+            let i = Int.max 0 (Int.min i (s - 1)) in
             value_of_pos (select_nth i)
           end
       | Sel_percentile_cont p ->
@@ -833,18 +875,23 @@ let eval_select_family ctx ~kind ~arg ~order ~ignore_nulls ~filter ~algorithm ~o
                  governed_mst ctx ~sample ~n:m ~get:getro ~arr:(fun () -> Lazy.force fro)))
         else None
       in
-      probe ctx (fun r ->
-          let ranges = mapped_ranges ctx rm r in
-          let s = covered_of ranges in
-          emit_for r ~s
-            ~select_nth:(fun nth -> Remap.position rm (Mstw.select sel_tree ~ranges ~nth))
-            ~rn:(fun () ->
-              Mstw.count_ranges (Option.get cnt_tree) ~ranges
-                ~less_than:enc.Rank_encode.row_codes.(r)))
+      probe_chunks ctx (fun lo hi ->
+          (* the primitives read the chunk's current row and bounds *)
+          let b = new_bounds () and nr = ref 0 and row = ref 0 in
+          let select_nth nth = Remap.position rm (Mstw.select_bounds sel_tree ~bounds:b ~nr:!nr ~nth) in
+          let rn () =
+            Mstw.count_bounds (Option.get cnt_tree) ~bounds:b ~nr:!nr
+              ~less_than:enc.Rank_encode.row_codes.(!row)
+          in
+          for r = lo to hi - 1 do
+            nr := row_bounds ctx rm r b;
+            row := r;
+            emit_for r ~s:(covered_bounds b !nr) ~select_nth ~rn
+          done)
   | Naive ->
       let fro = Lazy.force fro in
       Task_pool.parallel_for ctx.pool ~lo:0 ~hi:(np ctx) ~chunk:ctx.task_size (fun lo hi ->
-          let scratch = Array.make (max m 1) 0 in
+          let scratch = Array.make (Int.max m 1) 0 in
           for r = lo to hi - 1 do
             let ranges = mapped_ranges ctx rm r in
             let s = covered_of ranges in

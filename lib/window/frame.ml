@@ -246,34 +246,54 @@ let compute ?peers:precomputed table ~spec ~rows =
   done;
   { np; start_; end_; peer_start; peer_end; exclusion = frame.exclusion }
 
-let ranges t r =
+let max_ranges = 3
+
+(* The frame of row [r] is its base span [s, e) minus at most two holes,
+   each clipped to the span; empty holes cut nothing. The pieces are
+   written flat into [dst] in ascending order. *)
+let bounds t r dst =
   let s = t.start_.(r) and e = t.end_.(r) in
-  if s >= e then [||]
+  if s >= e then 0
   else begin
-    (* holes carved out of [s, e) *)
-    let holes =
+    let ps = t.peer_start.(r) and pe = t.peer_end.(r) in
+    (* holes [a1, b1) and [a2, b2); an unused hole is [e, e) *)
+    let a1, b1 =
       match t.exclusion with
-      | Exclude_no_others -> []
-      | Exclude_current_row -> [ (r, r + 1) ]
-      | Exclude_group -> [ (t.peer_start.(r), t.peer_end.(r)) ]
-      | Exclude_ties -> [ (t.peer_start.(r), r); (r + 1, t.peer_end.(r)) ]
+      | Exclude_no_others -> (e, e)
+      | Exclude_current_row -> (r, r + 1)
+      | Exclude_group -> (ps, pe)
+      | Exclude_ties -> (ps, r)
     in
-    let holes =
-      List.filter_map
-        (fun (a, b) ->
-          let a = Int.max a s and b = Int.min b e in
-          if a < b then Some (a, b) else None)
-        holes
-    in
-    let pieces = ref [] in
-    let pos = ref s in
-    List.iter
-      (fun (a, b) ->
-        if a > !pos then pieces := (!pos, a) :: !pieces;
-        pos := Int.max !pos b)
-      holes;
-    if !pos < e then pieces := (!pos, e) :: !pieces;
-    Array.of_list (List.rev !pieces)
+    let a2, b2 = match t.exclusion with Exclude_ties -> (r + 1, pe) | _ -> (e, e) in
+    let k = ref 0 and pos = ref s in
+    let a1 = Int.max a1 s and b1 = Int.min b1 e in
+    if a1 < b1 then begin
+      if a1 > !pos then begin
+        dst.(0) <- !pos;
+        dst.(1) <- a1;
+        k := 1
+      end;
+      pos := Int.max !pos b1
+    end;
+    let a2 = Int.max a2 s and b2 = Int.min b2 e in
+    if a2 < b2 then begin
+      if a2 > !pos then begin
+        dst.(2 * !k) <- !pos;
+        dst.((2 * !k) + 1) <- a2;
+        incr k
+      end;
+      pos := Int.max !pos b2
+    end;
+    if !pos < e then begin
+      dst.(2 * !k) <- !pos;
+      dst.((2 * !k) + 1) <- e;
+      incr k
+    end;
+    !k
   end
+
+let ranges t r =
+  let dst = Array.make (2 * max_ranges) 0 in
+  Array.init (bounds t r dst) (fun i -> (dst.(2 * i), dst.((2 * i) + 1)))
 
 let covered t r = Array.fold_left (fun acc (a, b) -> acc + (b - a)) 0 (ranges t r)

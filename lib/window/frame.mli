@@ -38,6 +38,16 @@ val peer_start : t -> int -> int
 
 val peer_end : t -> int -> int
 
+val max_ranges : int
+(** Most ranges a frame splits into: 3, from two exclusion holes. *)
+
+val bounds : t -> int -> int array -> int
+(** [bounds t r dst] writes the frame of row [r] after the exclusion
+    clause into [dst] — range [i] is [\[dst.(2i), dst.(2i+1))] — and
+    returns the number of ranges. Same ranges as {!ranges}, without
+    allocating: [dst] needs [2 * max_ranges] slots and is meant to be owned
+    by the probing task and refilled per row. *)
+
 val ranges : t -> int -> (int * int) array
 (** The frame of row [r] after applying the exclusion clause: up to three
     disjoint half-open ranges of partition positions, ascending, each

@@ -35,10 +35,17 @@ let position t i = t.positions.(i)
 
 let map_range t (lo, hi) = if t.identity then (lo, hi) else (t.prefix.(lo), t.prefix.(hi))
 
-let map_ranges t ranges =
-  if t.identity then ranges
+let map_bounds t bounds nr =
+  if t.identity then nr
   else begin
-    let mapped = Array.map (map_range t) ranges in
-    if Array.for_all (fun (lo, hi) -> lo < hi) mapped then mapped
-    else Array.of_list (List.filter (fun (lo, hi) -> lo < hi) (Array.to_list mapped))
+    let k = ref 0 in
+    for i = 0 to nr - 1 do
+      let lo = t.prefix.(bounds.(2 * i)) and hi = t.prefix.(bounds.((2 * i) + 1)) in
+      if lo < hi then begin
+        bounds.(2 * !k) <- lo;
+        bounds.((2 * !k) + 1) <- hi;
+        incr k
+      end
+    done;
+    !k
   end

@@ -28,5 +28,7 @@ val position : t -> int -> int
 val map_range : t -> int * int -> int * int
 (** Frame range in partition positions → range in filtered positions. *)
 
-val map_ranges : t -> (int * int) array -> (int * int) array
-(** Maps and drops ranges that became empty. *)
+val map_bounds : t -> int array -> int -> int
+(** [map_bounds t bounds nr] maps the [nr] flat ranges written by
+    {!Frame.bounds} in place ({!map_range} on each), drops those that
+    became empty and returns how many remain. *)

@@ -130,7 +130,83 @@ let test_exclusion_ranges () =
      pieces around the kept row coalescing into (0,2) *)
   Alcotest.(check (array ip)) "ties excluded, self kept" [| (0, 2); (3, 6) |] (Frame.ranges f 1);
   let f = mk Window_spec.Exclude_no_others in
-  Alcotest.(check (array ip)) "no exclusion" [| (0, 6) |] (Frame.ranges f 1)
+  Alcotest.(check (array ip)) "no exclusion" [| (0, 6) |] (Frame.ranges f 1);
+  (* Every row under every exclusion mode and several base frames: the
+     flat bounds writer and [Frame.ranges] both equal the maximal runs of
+     the frame's position set, plain and through a filtering remap, and
+     the writer allocates nothing. *)
+  let runs keep =
+    let out = ref [] and start = ref (-1) in
+    for p = 0 to Array.length keep do
+      let k = p < Array.length keep && keep.(p) in
+      if k && !start < 0 then start := p;
+      if (not k) && !start >= 0 then begin
+        out := (!start, p) :: !out;
+        start := -1
+      end
+    done;
+    Array.of_list (List.rev !out)
+  in
+  let flat dst k = Array.init k (fun i -> (dst.(2 * i), dst.((2 * i) + 1))) in
+  let rm = Remap.create ~np:6 ~qualifies:(fun r -> r <> 1 && r <> 4) in
+  let dst = Array.make (2 * Frame.max_ranges) 0 in
+  List.iter
+    (fun (exclusion, xname) ->
+      List.iter
+        (fun (lo, hi, fname) ->
+          let spec =
+            Window_spec.over ~order_by:t_asc
+              ~frame:(Window_spec.rows_between ~exclusion lo hi)
+              ()
+          in
+          let f = Frame.compute table ~spec ~rows in
+          for r = 0 to 5 do
+            let where = Printf.sprintf "%s, %s, row %d" xname fname r in
+            let ps = Frame.peer_start f r and pe = Frame.peer_end f r in
+            let keep =
+              Array.init 6 (fun p ->
+                  p >= Frame.start_ f r
+                  && p < Frame.end_ f r
+                  &&
+                  match exclusion with
+                  | Window_spec.Exclude_no_others -> true
+                  | Window_spec.Exclude_current_row -> p <> r
+                  | Window_spec.Exclude_group -> p < ps || p >= pe
+                  | Window_spec.Exclude_ties -> p = r || p < ps || p >= pe)
+            in
+            let expect = runs keep in
+            Alcotest.(check (array ip)) (where ^ ": ranges") expect (Frame.ranges f r);
+            Alcotest.(check (array ip)) (where ^ ": bounds") expect (flat dst (Frame.bounds f r dst));
+            (* rows 1 and 4 filtered out: each range renumbered by the
+               surviving rows before its ends, empty ones dropped *)
+            let before x = List.length (List.filter (fun p -> p < x) [ 0; 2; 3; 5 ]) in
+            let mapped =
+              List.filter
+                (fun (a, b) -> a < b)
+                (List.map (fun (a, b) -> (before a, before b)) (Array.to_list expect))
+            in
+            let k = Remap.map_bounds rm dst (Frame.bounds f r dst) in
+            Alcotest.(check (array ip)) (where ^ ": mapped bounds") (Array.of_list mapped) (flat dst k)
+          done;
+          let w0 = Gc.minor_words () in
+          for r = 0 to 5 do
+            ignore (Sys.opaque_identity (Remap.map_bounds rm dst (Frame.bounds f r dst)))
+          done;
+          Alcotest.(check (float 0.0)) (xname ^ ", " ^ fname ^ ": bounds allocate nothing") 0.0
+            (Gc.minor_words () -. w0))
+        [
+          (Window_spec.Unbounded_preceding, Window_spec.Unbounded_following, "whole");
+          (Window_spec.preceding 1, Window_spec.following 1, "sliding");
+          (Window_spec.Current_row, Window_spec.following 2, "leading");
+          (Window_spec.preceding 2, Window_spec.Current_row, "trailing");
+          (Window_spec.following 3, Window_spec.preceding 3, "empty");
+        ])
+    [
+      (Window_spec.Exclude_no_others, "no others");
+      (Window_spec.Exclude_current_row, "current row");
+      (Window_spec.Exclude_group, "group");
+      (Window_spec.Exclude_ties, "ties");
+    ]
 
 let test_exclusion_at_edges () =
   let table = mk_table () in

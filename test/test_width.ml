@@ -193,8 +193,10 @@ module type PROBE = sig
 
   val count : t -> lo:int -> hi:int -> less_than:int -> int
   val count_ranges : t -> ranges:(int * int) array -> less_than:int -> int
+  val count_bounds : t -> bounds:int array -> nr:int -> less_than:int -> int
   val count_value_ranges : t -> ranges:(int * int) array -> int
   val select : t -> ranges:(int * int) array -> nth:int -> int
+  val select_bounds : t -> bounds:int array -> nr:int -> nth:int -> int
 end
 
 module P64 = struct
@@ -255,6 +257,10 @@ module Probe_checks (P : PROBE) = struct
         (P.count_ranges t ~ranges:[| (lo, hi) |] ~less_than:th);
       Alcotest.(check int) (where ^ " count_ranges, split") expect
         (P.count_ranges t ~ranges:[| (lo, mid); (mid, hi) |] ~less_than:th);
+      Alcotest.(check int) (where ^ " count_bounds, one piece") expect
+        (P.count_bounds t ~bounds:[| lo; hi |] ~nr:1 ~less_than:th);
+      Alcotest.(check int) (where ^ " count_bounds, split") expect
+        (P.count_bounds t ~bounds:[| lo; mid; mid; hi; -7; -7 |] ~nr:2 ~less_than:th);
       let vlo = Rng.int rng (span + 2) - 1 in
       let vhi = vlo + Rng.int rng (span + 1) in
       let vmid = vlo + Rng.int rng (vhi - vlo + 1) in
@@ -265,7 +271,11 @@ module Probe_checks (P : PROBE) = struct
         let nth = Rng.int rng total in
         let expect = Option.get (brute_select a one nth) in
         Alcotest.(check int) (where ^ " select") expect (P.select t ~ranges:one ~nth);
-        Alcotest.(check int) (where ^ " select, split") expect (P.select t ~ranges:split ~nth)
+        Alcotest.(check int) (where ^ " select, split") expect (P.select t ~ranges:split ~nth);
+        Alcotest.(check int) (where ^ " select_bounds, one piece") expect
+          (P.select_bounds t ~bounds:[| vlo; vhi |] ~nr:1 ~nth);
+        Alcotest.(check int) (where ^ " select_bounds, split") expect
+          (P.select_bounds t ~bounds:[| vlo; vmid; vmid; vhi; -7; -7 |] ~nr:2 ~nth)
       end;
       (* both paths reject the same out-of-range ranks with one message *)
       List.iter
@@ -280,6 +290,10 @@ module Probe_checks (P : PROBE) = struct
         [ -1; total ]
     done
 
+  (* Shapes: n <= fanout (the descent starts at level 1, so a query is
+     only the leaf finish), n just past a power of the fanout (a partial
+     last leaf run: 33 and 257 over 32 and 2), and cascading off, at every
+     element and at the default spacing. *)
   let test_parity () =
     List.iter
       (fun n ->
@@ -287,7 +301,7 @@ module Probe_checks (P : PROBE) = struct
           (fun fanout ->
             List.iter (fun sample -> parity ~n ~fanout ~sample) [ 0; 1; 4; 32 ])
           [ 2; 5; 32 ])
-      [ 0; 1; 2; 33; 257; 1500 ]
+      [ 0; 1; 2; 5; 31; 32; 33; 257; 1500 ]
 
   (* The probe loops allocate nothing: 10k probes of each kind leave the
      minor heap pointer where it was. *)
@@ -341,16 +355,145 @@ module Probe_checks (P : PROBE) = struct
       done;
       !acc
     in
+    (* the flat entry points, fed one bounds array refilled per probe *)
+    let b = Array.make 4 0 in
+    let count_bounds () =
+      let acc = ref 0 in
+      for i = 0 to probes - 1 do
+        b.(0) <- fst pieces.(i).(0);
+        b.(1) <- snd pieces.(i).(0);
+        b.(2) <- fst pieces.(i).(1);
+        b.(3) <- snd pieces.(i).(1);
+        acc := !acc + P.count_bounds t ~bounds:b ~nr:2 ~less_than:th.(i)
+      done;
+      !acc
+    in
+    let select_bounds () =
+      let acc = ref 0 in
+      for i = 0 to probes - 1 do
+        b.(0) <- fst one.(i).(0);
+        b.(1) <- snd one.(i).(0);
+        if P.count_value_ranges t ~ranges:one.(i) > 0 then
+          acc := !acc + P.select_bounds t ~bounds:b ~nr:1 ~nth:nth.(i)
+      done;
+      !acc
+    in
     (* first calls outside the measurement *)
-    ignore (count () + count_ranges () + select ());
+    ignore (count () + count_ranges () + select () + count_bounds () + select_bounds ());
     Alcotest.(check int) (P.name ^ " count words") 0 (words count);
     Alcotest.(check int) (P.name ^ " count_ranges words") 0 (words count_ranges);
-    Alcotest.(check int) (P.name ^ " select words") 0 (words select)
+    Alcotest.(check int) (P.name ^ " select words") 0 (words select);
+    Alcotest.(check int) (P.name ^ " count_bounds words") 0 (words count_bounds);
+    Alcotest.(check int) (P.name ^ " select_bounds words") 0 (words select_bounds);
+    Alcotest.(check int) (P.name ^ " count_bounds = count_ranges") (count_ranges ()) (count_bounds ());
+    Alcotest.(check int) (P.name ^ " select_bounds = select") (select ()) (select_bounds ())
 end
 
-module Checks64 = Probe_checks (P64)
-module Checks32 = Probe_checks (P32)
-module Checks16 = Probe_checks (P16)
+(* The storage kernels themselves against brute force, on a sorted run
+   (for [child_pos]) and an unsorted one (for the leaf scans): every
+   cursor offset below the answer with a slack reaching it, the
+   uncascaded form (slot -1), and leaf scans from every base. *)
+module Kernel_checks (S : Holistic_core.Mst_storage.S) = struct
+  (* the message is built only on a mismatch: this loop checks ~10^5 cases *)
+  let check what expect got =
+    if expect <> got then Alcotest.failf "%s %s: expected %d, got %d" S.name (what ()) expect got
+
+  let test () =
+    let rng = Rng.create 97 in
+    let n = 70 in
+    let sorted = Array.init n (fun _ -> Rng.int rng 40) in
+    Array.sort compare sorted;
+    let below = S.of_int_array ~msg:"kernel test" sorted in
+    let lb lo hi v =
+      let p = ref lo in
+      while !p < hi && sorted.(!p) < v do
+        incr p
+      done;
+      !p
+    in
+    let cur = S.of_int_array ~msg:"kernel test" (Array.init (n + 1) (fun i -> i)) in
+    for base = 0 to 9 do
+      for len = 0 to n - base do
+        for v = -1 to 41 do
+          let pos = lb base (base + len) v - base in
+          check
+            (fun () -> Printf.sprintf "uncascaded b=%d l=%d v=%d" base len v)
+            pos
+            (S.child_pos below cur ~slot:(-1) ~slack:max_int ~v ~c:0 ~base ~len);
+          (* a cursor entry [off] read at slot [off - c], slack [pos - off] *)
+          for off = Int.max 0 (pos - 3) to pos do
+            let c = off land 1 in
+            check
+              (fun () -> Printf.sprintf "cascaded b=%d l=%d v=%d off=%d" base len v off)
+              pos
+              (S.child_pos below cur ~slot:(off - c) ~slack:(pos - off + (v land 1)) ~v ~c ~base ~len)
+          done
+        done
+      done
+    done;
+    let leaves = Array.init n (fun _ -> Rng.int rng 40) in
+    let a = S.of_int_array ~msg:"kernel test" leaves in
+    for lo = 0 to n do
+      for hi = lo to Int.min n (lo + 40) do
+        let th = Rng.int rng 42 - 1 in
+        let expect = ref 0 in
+        for i = lo to hi - 1 do
+          if leaves.(i) < th then incr expect
+        done;
+        check (fun () -> "leaf_count") !expect (S.leaf_count a ~lo ~hi ~less_than:th)
+      done
+    done;
+    for base = 0 to n - 1 do
+      let vlo = Rng.int rng 40 in
+      let vhi = vlo + Rng.int rng 12 and vlo2 = vlo + 15 and vhi2 = vlo + 15 + Rng.int rng 10 in
+      let bounds = [| vlo; vhi; vlo2; vhi2 |] in
+      let hits1 = ref [] and hits2 = ref [] in
+      for i = n - 1 downto base do
+        let v = leaves.(i) in
+        if v >= vlo && v < vhi then hits1 := v :: !hits1;
+        if (v >= vlo && v < vhi) || (v >= vlo2 && v < vhi2) then hits2 := v :: !hits2
+      done;
+      List.iteri
+        (fun nth v ->
+          check (fun () -> "leaf_select") v (S.leaf_select a ~base ~vlo ~vhi ~nth);
+          check
+            (fun () -> "leaf_select_bounds, one range")
+            v
+            (S.leaf_select_bounds a ~base ~bounds ~nr:1 ~nth))
+        !hits1;
+      List.iteri
+        (fun nth v ->
+          check (fun () -> "leaf_select_bounds") v (S.leaf_select_bounds a ~base ~bounds ~nr:2 ~nth))
+        !hits2
+    done
+end
+
+module Checks64 = struct
+  include Probe_checks (P64)
+  module K = Kernel_checks (Holistic_core.Mst_storage.Int63)
+
+  let test_parity () =
+    K.test ();
+    test_parity ()
+end
+
+module Checks32 = struct
+  include Probe_checks (P32)
+  module K = Kernel_checks (Holistic_core.Mst_storage.Int32s)
+
+  let test_parity () =
+    K.test ();
+    test_parity ()
+end
+
+module Checks16 = struct
+  include Probe_checks (P16)
+  module K = Kernel_checks (Holistic_core.Mst_storage.Int16u)
+
+  let test_parity () =
+    K.test ();
+    test_parity ()
+end
 
 (* ------------------------------------------------------------------ *)
 (* Width boundaries: rejection                                         *)

@@ -628,7 +628,54 @@ let test_running_sum () =
   let got = Array.init 5 (fun i -> Column.get c i) in
   Alcotest.(check (list string)) "running sums in input order"
     [ "5"; "1"; "9"; "2"; "14" ]
-    (Array.to_list (Array.map Value.to_string got))
+    (Array.to_list (Array.map Value.to_string got));
+  (* SUM/AVG(DISTINCT) over a holed frame whose hole alone holds a NaN or
+     an infinity: the middle row's frame is {1, 2}, so 3 and 1.5 on every
+     backend (the MST arm once returned NaN by subtracting the hole's
+     value from the whole span's sum) *)
+  List.iter
+    (fun odd ->
+      let table =
+        Table.create [ ("k", Column.ints [| 1; 2; 3 |]); ("f", Column.floats [| 1.0; odd; 2.0 |]) ]
+      in
+      let over =
+        Window_spec.over
+          ~order_by:[ Sort_spec.asc (Expr.Col "k") ]
+          ~frame:
+            (Window_spec.rows_between ~exclusion:Window_spec.Exclude_current_row
+               Window_spec.Unbounded_preceding Window_spec.Unbounded_following)
+          ()
+      in
+      List.iter
+        (fun algorithm ->
+          let items =
+            [
+              Wf.sum ~algorithm ~distinct:true ~name:"ds" (Expr.Col "f");
+              Wf.avg ~algorithm ~distinct:true ~name:"da" (Expr.Col "f");
+            ]
+          in
+          let t = Executor.run table ~over items in
+          let where =
+            Printf.sprintf "%s hole, %s" (Float.to_string odd)
+              (match Evaluator_choice.of_algorithm algorithm with
+              | Some nm -> Evaluator_choice.to_string nm
+              | None -> "auto")
+          in
+          Alcotest.(check string) (where ^ ": sum") "3" (Value.to_string (Column.get (Table.column t "ds") 1));
+          Alcotest.(check string) (where ^ ": avg") "1.5" (Value.to_string (Column.get (Table.column t "da") 1));
+          List.iter
+            (fun (name, exp) ->
+              Array.iteri
+                (fun i e ->
+                  (* exact, infinities included *)
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s: %s row %d" where name i)
+                    (Value.to_string e)
+                    (Value.to_string (Column.get (Table.column t name) i)))
+                exp)
+            (Oracle.run table ~over items))
+        [ Wf.Auto; Wf.Mst; Wf.Mst_no_cascade; Wf.Naive ])
+    [ Float.nan; Float.infinity ]
 
 let test_tpcc_query_shape () =
   (* the §2.4 flagship query: framed count(distinct), rank, first_value,

@@ -7,7 +7,8 @@
 # Run from the repository root.  Builds the release objects of lib/sort,
 # lib/baselines, lib/core and lib/window into a separate build directory
 # (so the default _build is left alone), disassembles lib/sort,
-# lib/baselines, lib/core and Frame with `objdump -dr`, and lists every
+# lib/baselines, lib/core and the window layer's probe driver (Frame,
+# Remap, Evaluators) with `objdump -dr`, and lists every
 # function holding a relocation to caml_{lessthan,lessequal,greaterthan,
 # greaterequal,equal,notequal,compare} or Stdlib.min/max.  Without flambda,
 # an unannotated `<`, `=`, `compare`, `min` or `max` compiles to exactly
@@ -23,7 +24,9 @@ dune build --root . --profile release --build-dir "$build" \
 objs=$(ls "$build"/default/lib/sort/.holistic_sort.objs/native/*.o \
   "$build"/default/lib/baselines/.holistic_baselines.objs/native/*.o \
   "$build"/default/lib/core/.holistic_core.objs/native/*.o \
-  "$build"/default/lib/window/.holistic_window.objs/native/holistic_window__Frame.o)
+  "$build"/default/lib/window/.holistic_window.objs/native/holistic_window__Frame.o \
+  "$build"/default/lib/window/.holistic_window.objs/native/holistic_window__Remap.o \
+  "$build"/default/lib/window/.holistic_window.objs/native/holistic_window__Evaluators.o)
 
 hits=$(for o in $objs; do
   objdump -dr "$o" | awk -v obj="$(basename "$o")" '
